@@ -127,7 +127,7 @@ func main() {
 	// The listen line is a readiness contract, same as vssd's: tooling
 	// waits for it and parses the resolved address.
 	fmt.Printf("vssrouterd: routing %s across %d nodes (replicas=%d) on %s\n",
-		*store, cluster.Nodes(), cluster.Replicas(), ln.Addr())
+		*store, cluster.Members(), cluster.Replicas(), ln.Addr())
 	// After the readiness line: tooling parses the first " on " line.
 	if *debugAddr != "" {
 		dbg, err := server.ServeDebug(*debugAddr)

@@ -83,16 +83,20 @@ func (s *Store) findCompactablePairLocked(vs *videoState) (*PhysMeta, *PhysMeta)
 
 // mergeLocked appends b's GOPs to a via hard links and removes b. Caller
 // holds the video's lock.
+//
+// The linked GOPs are numbered past a's HIGHEST surviving sequence
+// number, not from len(a.GOPs): eviction removes pages without
+// renumbering, so once a has lost a page its length names a sequence
+// number a live page still owns, and linking onto it would overwrite
+// that page's file.
 func (s *Store) mergeLocked(vs *videoState, a, b *PhysMeta) error {
 	v := vs.meta
-	frameOffset := 0
+	frameOffset, nextSeq := 0, 0
 	for i := range a.GOPs {
 		g := &a.GOPs[i]
-		if g.StartFrame+g.Frames > frameOffset {
-			frameOffset = g.StartFrame + g.Frames
-		}
+		frameOffset = max(frameOffset, g.StartFrame+g.Frames)
+		nextSeq = max(nextSeq, g.Seq+1)
 	}
-	nextSeq := len(a.GOPs)
 	for i := range b.GOPs {
 		g := b.GOPs[i]
 		if err := s.files.LinkGOP(v.Name, b.Dir, g.Seq, v.Name, a.Dir, nextSeq); err != nil {
@@ -105,6 +109,9 @@ func (s *Store) mergeLocked(vs *videoState, a, b *PhysMeta) error {
 			Bytes:      g.Bytes,
 			Lossless:   g.Lossless,
 			LRU:        g.LRU,
+			// The bytes are the same file, so the feature summary still
+			// describes them; dropping it would cost a decode-back backfill.
+			Summary: g.Summary,
 		})
 		nextSeq++
 	}

@@ -65,7 +65,11 @@ func replicaCounts(t *testing.T, dir string) map[string]int {
 // one root's contents leaves every read byte-identical to the healthy
 // read, and one Maintain pass (which scrubs with the catalog as the
 // size oracle) restores full 2-way replication with nothing
-// unrecoverable.
+// unrecoverable. Which half of the scrub re-creates a given copy — the
+// journal pass, for copies the degraded reads caught missing, or the
+// walk, for the rest — depends on which replicas the reads happened to
+// probe, so the drill asserts the outcome (every address back on two
+// roots), not the split.
 func TestReplicatedStoreSurvivesRootLoss(t *testing.T) {
 	dir := t.TempDir()
 	s := openReplicatedStore(t, dir)
@@ -127,7 +131,7 @@ func TestReplicatedStoreSurvivesRootLoss(t *testing.T) {
 	if !ok {
 		t.Fatal("replicated store reports no replication stats")
 	}
-	if rep.LastScrub.Unrecoverable != 0 || rep.LastScrub.Repaired == 0 || rep.LastScrub.Checked == 0 {
+	if rep.Scrubs != 1 || rep.LastScrub.Unrecoverable != 0 || rep.LastScrub.Checked == 0 {
 		t.Fatalf("scrub stats %+v", rep.LastScrub)
 	}
 	if rep.Failovers == 0 {

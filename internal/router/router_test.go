@@ -3,8 +3,6 @@ package router_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -13,54 +11,58 @@ import (
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/storage"
-	"repro/internal/storage/storagetest"
 	"repro/vss"
 )
 
 // The cluster must satisfy the full backend surface plus the interfaces
 // core discovers through the wrap chain.
 var (
-	_ storage.Backend         = (*router.Cluster)(nil)
-	_ storage.Scrubber        = (*router.Cluster)(nil)
-	_ storage.ExpectReader    = (*router.Cluster)(nil)
-	_ storage.ClusterReporter = (*router.Cluster)(nil)
+	_ storage.Backend             = (*router.Cluster)(nil)
+	_ storage.Scrubber            = (*router.Cluster)(nil)
+	_ storage.ExpectReader        = (*router.Cluster)(nil)
+	_ storage.ContextExpectReader = (*router.Cluster)(nil)
+	_ storage.ClusterReporter     = (*router.Cluster)(nil)
 )
 
-// memCluster builds a cluster over in-memory nodes and returns the
-// nodes for direct inspection.
-func memCluster(t *testing.T, n, replicas int) (*router.Cluster, []storage.Backend) {
-	t.Helper()
-	nodes := make([]storage.Backend, n)
-	for i := range nodes {
-		nodes[i] = storage.NewMem()
-	}
-	c, err := router.New(nodes, nil, replicas)
+// The ring's behaviour (placement, fan-out, failover, demotion, scrub)
+// is tested once for every member kind in internal/storage; the tests
+// here cover what the router adds to it: the fleet-facing surface, the
+// journal lifecycle as the daemon drives it, and the wire.
+
+// TestClusterSurface pins what distinguishes a routed ring from a
+// sharded one to the layers above: the backend kind, node-labelled
+// health rows, and — the switch /metrics keys its cluster section on —
+// being a ClusterReporter, which a plain ring must NOT be.
+func TestClusterSurface(t *testing.T) {
+	nodes := []storage.Backend{storage.NewMem(), storage.NewMem(), storage.NewMem()}
+	c, err := router.New(nodes, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, nodes
-}
-
-func TestClusterConformance(t *testing.T) {
-	configs := []struct {
-		name        string
-		n, replicas int
-	}{
-		{"1node", 1, 1},
-		{"3node-r2", 3, 2},
-		{"3node-r3", 3, 3},
+	if c.Name() != "cluster" || c.Members() != 3 || c.Replicas() != 2 {
+		t.Errorf("cluster %q: %d nodes, %d replicas", c.Name(), c.Members(), c.Replicas())
 	}
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			c, _ := memCluster(t, cfg.n, cfg.replicas)
-			storagetest.Conformance(t, c)
-		})
+	cr := storage.AsClusterReporter(storage.Instrument(c))
+	if cr == nil {
+		t.Fatal("instrumented cluster is not a ClusterReporter")
 	}
-}
-
-func TestClusterConcurrentWriteSameGOP(t *testing.T) {
-	c, _ := memCluster(t, 3, 2)
-	storagetest.ConcurrentWriteSameGOP(t, c)
+	st := cr.ClusterStats()
+	if st.Nodes != 3 || st.Replicas != 2 || len(st.NodeHealth) != 3 || st.NodeHealth[1].Addr != "node-1" {
+		t.Errorf("cluster stats %+v", st)
+	}
+	if err := c.Ping(t.Context()); err != nil {
+		t.Errorf("ping over nodes without a health endpoint: %v", err)
+	}
+	if _, err := router.New(nodes, []string{"only-one"}, 2); err == nil {
+		t.Error("1 label for 3 nodes succeeded")
+	}
+	sharded, err := storage.OpenShardedReplicated([]string{t.TempDir(), t.TempDir()}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if storage.AsClusterReporter(sharded) != nil {
+		t.Error("a sharded ring reports itself as a cluster: /metrics would swap its replication section for a cluster one")
+	}
 }
 
 // payload derives a deterministic GOP body from its sequence number.
@@ -80,88 +82,6 @@ func nodeAddrs(t *testing.T, node storage.Backend) map[storage.GOPAddr]bool {
 		t.Fatal(err)
 	}
 	return held
-}
-
-// TestClusterWipeNodeRepair is the recovery drill: wipe one node of a
-// replicas=2 fleet, demand byte-identical reads through failover, then
-// recover full replication with one Repair (the copies failover reads
-// caught missing) plus one scrub (the copies reads never probed — a
-// healthy primary hides its wiped successor). A second scrub proves
-// convergence.
-func TestClusterWipeNodeRepair(t *testing.T) {
-	const gops = 16
-	c, nodes := memCluster(t, 3, 2)
-	sizes := storage.StaticSizes{}
-	for i := range gops {
-		if err := c.WriteGOP("v", "p", i, payload(i)); err != nil {
-			t.Fatal(err)
-		}
-		sizes[storage.GOPAddr{Video: "v", PhysDir: "p", Seq: i}] = int64(len(payload(i)))
-	}
-
-	wiped := nodeAddrs(t, nodes[0])
-	if len(wiped) == 0 {
-		t.Fatal("node 0 holds nothing; test needs a non-trivial wipe")
-	}
-	if err := nodes[0].DeleteVideo("v"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Every GOP still reads back byte-identical through failover.
-	for i := range gops {
-		got, err := c.ReadGOP("v", "p", i)
-		if err != nil {
-			t.Fatalf("read %d with node 0 wiped: %v", i, err)
-		}
-		if !bytes.Equal(got, payload(i)) {
-			t.Fatalf("read %d: degraded bytes differ", i)
-		}
-	}
-	st := c.ClusterStats()
-	if st.Failovers == 0 {
-		t.Error("no failovers recorded despite a wiped node")
-	}
-	if st.JournalDepth == 0 {
-		t.Error("failover reads journaled nothing")
-	}
-
-	// One repair cycle restores every copy the reads discovered missing;
-	// the scrub restores the rest.
-	repaired, err := c.Repair()
-	if err != nil {
-		t.Fatalf("repair: %v", err)
-	}
-	scrub, err := c.Scrub(sizes)
-	if err != nil {
-		t.Fatalf("scrub: %v", err)
-	}
-	if repaired+int(scrub.Repaired) != len(wiped) {
-		t.Errorf("repair (%d) + scrub (%d) restored copies != %d wiped", repaired, scrub.Repaired, len(wiped))
-	}
-	if scrub.Unrecoverable != 0 {
-		t.Errorf("scrub: unrecoverable=%d, want 0", scrub.Unrecoverable)
-	}
-	for a := range wiped {
-		got, err := nodes[0].ReadGOP(a.Video, a.PhysDir, a.Seq)
-		if err != nil {
-			t.Fatalf("node 0 still missing %v after repair+scrub: %v", a, err)
-		}
-		if !bytes.Equal(got, payload(a.Seq)) {
-			t.Fatalf("node 0 repaired copy of %v differs", a)
-		}
-	}
-
-	// Convergence: a second scrub finds nothing to do.
-	scrub2, err := c.Scrub(sizes)
-	if err != nil {
-		t.Fatalf("second scrub: %v", err)
-	}
-	if scrub2.Repaired != 0 || scrub2.Unrecoverable != 0 {
-		t.Errorf("second scrub: repaired=%d unrecoverable=%d, want 0/0", scrub2.Repaired, scrub2.Unrecoverable)
-	}
-	if st := c.ClusterStats(); st.JournalDepth != 0 {
-		t.Errorf("journal depth = %d after full recovery", st.JournalDepth)
-	}
 }
 
 // gated wraps a backend that can be taken down: every operation fails
@@ -282,77 +202,6 @@ func TestClusterOutageJournalsWrites(t *testing.T) {
 	if scrub.Repaired != 0 || scrub.Unrecoverable != 0 {
 		t.Errorf("scrub after journal-only recovery: repaired=%d unrecoverable=%d, want 0/0",
 			scrub.Repaired, scrub.Unrecoverable)
-	}
-}
-
-// primaryOf mirrors the cluster's ring hash so tests can pick addresses
-// landing on a chosen primary node.
-func primaryOf(video, physDir string, seq, nodes int) int {
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%s\x00%s\x00%d", video, physDir, seq)
-	return int(h.Sum32() % uint32(nodes))
-}
-
-// TestClusterDemotesFlappingNode drives repeated failures into one node
-// and requires it to drop to the back of the read order (demoted), then
-// return to service on its first success.
-func TestClusterDemotesFlappingNode(t *testing.T) {
-	flaky := &gated{Backend: storage.NewMem()}
-	nodes := []storage.Backend{storage.NewMem(), flaky}
-	c, err := router.New(nodes, []string{"good", "flaky"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Addresses whose primary is the flaky node (index 1), so reads try
-	// it first while healthy.
-	var seqs []int
-	for seq := 0; len(seqs) < 4; seq++ {
-		if primaryOf("v", "p", seq, 2) == 1 {
-			seqs = append(seqs, seq)
-		}
-	}
-	for _, seq := range seqs {
-		if err := c.WriteGOP("v", "p", seq, payload(seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	flaky.down.Store(true)
-	for _, seq := range seqs {
-		if _, err := c.ReadGOP("v", "p", seq); err != nil {
-			t.Fatalf("read %d: %v", seq, err)
-		}
-	}
-	st := c.ClusterStats()
-	if !st.NodeHealth[1].Demoted {
-		t.Fatalf("flaky node not demoted after %d consecutive failures: %+v", len(seqs), st.NodeHealth[1])
-	}
-	if st.NodeHealth[1].Errors == 0 || st.Failovers == 0 {
-		t.Errorf("stats: %+v failovers=%d", st.NodeHealth[1], st.Failovers)
-	}
-
-	// Demoted means later reads stop paying for the dead node: they serve
-	// from the healthy replica without touching it.
-	before := st.NodeHealth[1].Errors
-	for _, seq := range seqs {
-		if _, err := c.ReadGOP("v", "p", seq); err != nil {
-			t.Fatalf("read %d while demoted: %v", seq, err)
-		}
-	}
-	if got := c.ClusterStats().NodeHealth[1].Errors; got != before {
-		t.Errorf("demoted node still charged errors: %d -> %d", before, got)
-	}
-
-	// One success re-promotes.
-	flaky.down.Store(false)
-	if _, err := c.Repair(); err != nil {
-		t.Fatalf("repair: %v", err)
-	}
-	if err := c.WriteGOP("v", "p", seqs[0], payload(seqs[0])); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.ClusterStats(); st.NodeHealth[1].Demoted {
-		t.Error("node still demoted after a successful operation")
 	}
 }
 

@@ -4,18 +4,19 @@ package storage
 // one directory per logical video, one physical-video subdirectory per
 // materialized view, one file per GOP — is a *logical* addressing scheme
 // (video, physDir, seq); a Backend decides where those GOPs physically
-// live. Three implementations ship:
+// live. Four implementations ship:
 //
 //   - Store (localfs): one filesystem root, the paper's Figure 2 layout.
-//   - Sharded: N filesystem roots with GOPs placed by a stable hash of
-//     (video, physDir, seq), optionally R-way replicated (primary + ring
-//     successors) with read failover and scrub-repair; per-shard IO runs
-//     in parallel and a degraded shard surfaces errors per GOP — or, with
-//     replicas, not at all while a healthy copy survives.
 //   - Mem: an in-memory map, for tests and IO-free benchmarking.
 //   - Remote: GOPs stored on one vssd node over the wire protocol
-//     (remote.go); internal/router composes Remotes into a replicated
-//     fleet with the same ring/failover/scrub idiom as Sharded.
+//     (remote.go).
+//   - Ring: N member backends with GOPs placed by a stable hash of
+//     (video, physDir, seq), optionally R-way replicated (primary + ring
+//     successors) with read failover, a write-repair journal and
+//     scrub-repair; per-member IO runs in parallel and a degraded member
+//     surfaces errors per GOP — or, with replicas, not at all while a
+//     healthy copy survives. Over localfs roots it is the "sharded"
+//     backend (OpenSharded); over Remotes, internal/router's "cluster".
 //
 // Every implementation must be safe for concurrent use and must report
 // missing GOPs with errors that match errors.Is(err, fs.ErrNotExist), so

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/storage"
@@ -10,11 +11,12 @@ import (
 // backends lists every local Backend implementation under one constructor
 // signature, so the conformance suite and cross-backend tests sweep all
 // of them. The sharded constructor uses 3 roots — enough that addresses
-// actually scatter; the replicated variant must be observationally
-// identical to the others (Walk dedup, delete-all-replicas, link
-// semantics) despite keeping every GOP twice. The remote backend runs the
-// same suite over a live vssd node in remote_test.go, and the router's
-// cluster backend in internal/router.
+// actually scatter; the replicated variants (the ring over localfs roots
+// and over in-memory nodes, the shape the router builds) must be
+// observationally identical to the others (Walk dedup,
+// delete-all-replicas, link semantics) despite keeping every GOP two or
+// three times. The remote backend runs the same suite over a live vssd
+// node in remote_test.go.
 func backends(t *testing.T) map[string]func(t *testing.T) storage.Backend {
 	t.Helper()
 	return map[string]func(t *testing.T) storage.Backend{
@@ -46,6 +48,25 @@ func backends(t *testing.T) map[string]func(t *testing.T) storage.Backend {
 		"mem": func(t *testing.T) storage.Backend {
 			return storage.NewMem()
 		},
+		"ring-mem-1node": memRing(1, 1),
+		"ring-mem-r2":    memRing(3, 2),
+		"ring-mem-r3":    memRing(3, 3),
+	}
+}
+
+// memRing returns a constructor of a ring over n in-memory nodes.
+func memRing(n, replicas int) func(t *testing.T) storage.Backend {
+	return func(t *testing.T) storage.Backend {
+		nodes := make([]storage.Backend, n)
+		labels := make([]string, n)
+		for i := range nodes {
+			nodes[i], labels[i] = storage.NewMem(), fmt.Sprintf("node-%d", i)
+		}
+		r, err := storage.NewRing("ring", nodes, labels, replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 }
 

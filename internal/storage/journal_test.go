@@ -1,14 +1,12 @@
-package router
+package storage
 
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/storage"
 )
 
-func addrN(i int) storage.GOPAddr {
-	return storage.GOPAddr{Video: "v", PhysDir: "p", Seq: i}
+func addrN(i int) GOPAddr {
+	return GOPAddr{Video: "v", PhysDir: "p", Seq: i}
 }
 
 func TestJournalDedupes(t *testing.T) {
@@ -44,7 +42,7 @@ func TestJournalDrainFIFO(t *testing.T) {
 func TestJournalOverflowEvictsOldest(t *testing.T) {
 	j := newJournal()
 	for i := range journalMax + 10 {
-		j.add(storage.GOPAddr{Video: fmt.Sprintf("v%d", i), PhysDir: "p", Seq: 0}, 0)
+		j.add(GOPAddr{Video: fmt.Sprintf("v%d", i), PhysDir: "p", Seq: 0}, 0)
 	}
 	if got := j.depth(); got != journalMax {
 		t.Errorf("depth = %d, want %d", got, journalMax)
@@ -78,15 +76,15 @@ func TestJournalRequeueBudget(t *testing.T) {
 
 func TestJournalForget(t *testing.T) {
 	j := newJournal()
-	j.add(storage.GOPAddr{Video: "keep", PhysDir: "p", Seq: 0}, 0)
-	j.add(storage.GOPAddr{Video: "gone", PhysDir: "p", Seq: 0}, 0)
-	j.add(storage.GOPAddr{Video: "gone", PhysDir: "p", Seq: 1}, 1)
-	j.forget(func(a storage.GOPAddr) bool { return a.Video == "gone" })
+	j.add(GOPAddr{Video: "keep", PhysDir: "p", Seq: 0}, 0)
+	j.add(GOPAddr{Video: "gone", PhysDir: "p", Seq: 0}, 0)
+	j.add(GOPAddr{Video: "gone", PhysDir: "p", Seq: 1}, 1)
+	j.forget(func(a GOPAddr) bool { return a.Video == "gone" })
 	if got := j.depth(); got != 1 {
 		t.Errorf("depth = %d, want 1", got)
 	}
 	// Forgotten entries must be re-addable: the index entry went with them.
-	j.add(storage.GOPAddr{Video: "gone", PhysDir: "p", Seq: 0}, 0)
+	j.add(GOPAddr{Video: "gone", PhysDir: "p", Seq: 0}, 0)
 	if got := j.depth(); got != 2 {
 		t.Errorf("depth after re-add = %d, want 2", got)
 	}

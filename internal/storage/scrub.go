@@ -2,16 +2,15 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"io/fs"
 )
 
-// This file implements the scrub-repair pass of the replicated sharded
-// backend: walk every placement, find replicas that are missing or the
-// wrong size, and re-copy them from a healthy copy. Scrub is what turns
-// "first write success makes it durable" into full R-way replication
-// again after a root flaps, is wiped, or is replaced, and it is what the
-// store's background maintenance loop runs (core.Store.Maintain).
+// This file implements the ring's scrub-repair pass: walk every
+// placement, find replicas that are missing or the wrong size, and
+// re-copy them from a healthy copy. Scrub is what turns "first write
+// success makes it durable" into full R-way replication again after a
+// member flaps, is wiped, or is replaced, and it is what the store's
+// background maintenance loop runs (core.Store.Maintain).
 
 // GOPAddr is one GOP's logical address — the coordinate replication
 // places, fails over, and scrubs in.
@@ -75,13 +74,14 @@ func (m StaticSizes) All() map[GOPAddr]int64 { return m }
 
 // ExpectReader is implemented by backends that can use a caller's
 // expected-size hint to fail over past stale replicas (see
-// Sharded.ReadGOPExpect). Callers discover it through the wrap chain
+// Ring.ReadGOPExpect). Callers discover it through the wrap chain
 // the way AsScrubber does; Instrumented forwards it.
 type ExpectReader interface {
 	ReadGOPExpect(video, physDir string, seq int, want int64) ([]byte, error)
 }
 
-// ShardHealthStats is one shard's row in ReplicationStats.
+// ShardHealthStats is one ring member's row in ReplicationStats; Root
+// is the member's label (the shard root path, or a node address).
 type ShardHealthStats struct {
 	Root string `json:"root"`
 	// Errors is the cumulative count of failed operations against this
@@ -109,11 +109,12 @@ type ReplicationStats struct {
 }
 
 // Scrubber is implemented by backends that keep redundant copies and can
-// check and repair them. The replicated sharded backend is the one
-// implementation; callers discover it through AsScrubber so metrics
-// wrappers (Instrumented) and user shells stay transparent.
+// check and repair them. Ring is the one implementation (whether its
+// members are shard roots or remote nodes); callers discover it through
+// AsScrubber so metrics wrappers (Instrumented) and user shells stay
+// transparent.
 type Scrubber interface {
-	// Scrub runs one check-and-repair pass; see Sharded.Scrub.
+	// Scrub runs one check-and-repair pass; see Ring.Scrub.
 	Scrub(expect SizeOracle) (ScrubStats, error)
 	// ReplicationStats snapshots replication health counters.
 	ReplicationStats() ReplicationStats
@@ -135,118 +136,52 @@ func AsScrubber(b Backend) Scrubber {
 	return nil
 }
 
-// ReplicationStats snapshots the backend's replication health: placement
-// config, failover count, per-shard error counters and demotion state,
-// and the last scrub pass. Safe for concurrent use.
-func (s *Sharded) ReplicationStats() ReplicationStats {
-	st := ReplicationStats{
-		Shards:    len(s.shards),
-		Replicas:  s.replicas,
-		Failovers: s.failovers.Load(),
-	}
-	st.ShardHealth = make([]ShardHealthStats, len(s.shards))
-	for i := range s.shards {
-		st.ShardHealth[i] = ShardHealthStats{
-			Root:    s.shards[i].Root(),
-			Errors:  s.health[i].errors.Load(),
-			Demoted: s.health[i].streak.Load() >= demoteAfter,
-		}
-	}
-	s.scrubMu.Lock()
-	st.Scrubs, st.LastScrub = s.scrubs, s.lastScrub
-	s.scrubMu.Unlock()
-	return st
-}
-
-// Scrub walks every stored GOP address, determines its authoritative
-// size, and re-copies missing or wrong-sized replicas onto their
-// placement shards from a healthy copy; see ScrubReplicas for the full
-// semantics. The returned stats are also recorded for ReplicationStats.
-func (s *Sharded) Scrub(expect SizeOracle) (ScrubStats, error) {
-	stores := make([]Backend, len(s.shards))
-	for i, sh := range s.shards {
-		stores[i] = sh
-	}
-	st, err := ScrubReplicas(ReplicaSet{
-		Stores:     stores,
-		Placement:  s.placement,
-		NoteResult: s.noteResult,
-		ErrTag:     shardErr,
-	}, expect)
-	s.scrubMu.Lock()
-	s.scrubs++
-	s.lastScrub = st
-	s.scrubMu.Unlock()
-	return st, err
-}
-
-// ReplicaSet describes a group of replica stores to the generic
-// scrub-repair engine (ScrubReplicas): the sharded backend's localfs
-// roots, or the router's remote vssd nodes. Stores are indexed the way
-// Placement's results index them.
-type ReplicaSet struct {
-	// Stores are the replica stores.
-	Stores []Backend
-	// Placement maps a GOP address to the stores holding its replicas,
-	// primary first (the sharded/router FNV-1a ring).
-	Placement func(video, physDir string, seq int) []int
-	// NoteResult feeds one store operation's outcome into the owner's
-	// health accounting (nil error = success). Optional.
-	NoteResult func(store int, err error)
-	// ErrTag decorates a per-store error with the store's identity; nil
-	// selects a generic "store %d" tag. The error chain must be
-	// preserved for errors.Is.
-	ErrTag func(store int, err error) error
-}
-
-// ScrubReplicas is the scrub-repair engine shared by every replicated
-// backend (Sharded across roots, the router's Cluster across nodes): it
-// walks every stored GOP address, determines its authoritative size, and
-// re-copies missing or wrong-sized replicas onto their placement stores
-// from a healthy copy. The authoritative size is the oracle's (the
-// catalog's expectation) when some copy actually has it; otherwise the
-// largest stored copy wins — the heuristic for standalone use
-// (expect == nil) and the graceful fallback when the catalog and every
-// copy disagree (then consistent replicas are left alone rather than
-// churned).
+// Scrub runs one full check-and-repair pass over the ring: first a
+// Repair pass, so copies the journal already knows are missing don't
+// inflate the scrub's repair count, then a walk of every stored GOP
+// address that determines its authoritative size and re-copies missing
+// or wrong-sized replicas onto their placement members from a healthy
+// copy. The authoritative size is the oracle's (the catalog's
+// expectation) when some copy actually has it; otherwise the largest
+// stored copy wins — the heuristic for standalone use (expect == nil)
+// and the graceful fallback when the catalog and every copy disagree
+// (then consistent replicas are left alone rather than churned).
 //
 // The catalog snapshot address (CatalogSnapshotVideo) is skipped
 // entirely: Maintain rewrites it wholesale every pass and the oracle
 // never describes it, so "repairing" it would only churn against the
 // writer.
 //
-// The engine is safe to run concurrently with reads and writes: repairs
-// go through the same atomic per-store writes as foreground traffic, so
+// Scrub is safe to run concurrently with reads and writes: repairs go
+// through the same atomic per-member writes as foreground traffic, so
 // readers never observe a torn GOP. Two races are tolerated and benign:
 // a GOP evicted mid-scrub is skipped once every source read misses, and
 // a repair can momentarily resurrect a just-deleted GOP file (the
 // catalog no longer references it; the next scrub skips it as an orphan
 // and DeletePhysical still reclaims it).
 //
-// The error joins per-store operational failures; a nonzero
-// Unrecoverable count is reported in the stats, not as an error.
-func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
-	tag := rs.ErrTag
-	if tag == nil {
-		tag = func(i int, err error) error {
-			if err == nil {
-				return nil
-			}
-			return fmt.Errorf("store %d: %w", i, err)
-		}
-	}
-	note := rs.NoteResult
-	if note == nil {
-		note = func(int, error) {}
-	}
+// The error joins per-member operational failures; a nonzero
+// Unrecoverable count is reported in the stats, not as an error. The
+// returned stats are also recorded for ReplicationStats.
+func (r *Ring) Scrub(expect SizeOracle) (ScrubStats, error) {
+	_, rerr := r.Repair()
+	st, serr := r.scrub(expect)
+	r.scrubMu.Lock()
+	r.scrubs++
+	r.lastScrub = st
+	r.scrubMu.Unlock()
+	return st, errors.Join(rerr, serr)
+}
 
+// scrub is the walk-and-repair half of Scrub.
+func (r *Ring) scrub(expect SizeOracle) (ScrubStats, error) {
 	type copyInfo struct {
 		store int
 		size  int64
 	}
 	copies := make(map[GOPAddr][]copyInfo)
 	var errs []error
-	for i, store := range rs.Stores {
+	for i, store := range r.members {
 		err := store.Walk(func(video, physDir string, seq int, size int64) error {
 			if video == CatalogSnapshotVideo {
 				return nil
@@ -259,8 +194,8 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 			// A store whose tree cannot even be walked is degraded; keep
 			// scrubbing the others — its GOPs repair FROM the healthy
 			// stores, not from it.
-			note(i, err)
-			errs = append(errs, tag(i, err))
+			r.note(i, err)
+			errs = append(errs, r.memberErr(i, err))
 		}
 	}
 
@@ -297,7 +232,7 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 		}
 		var needs []int
 		sources := make([]int, 0, len(cs))
-		for _, i := range rs.Placement(a.Video, a.PhysDir, a.Seq) {
+		for _, i := range r.placement(a.Video, a.PhysDir, a.Seq) {
 			if sz, ok := have[i]; ok && sz == want {
 				sources = append(sources, i)
 			} else {
@@ -318,13 +253,13 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 		found := false
 		sawMissing := false
 		for _, src := range sources {
-			d, err := rs.Stores[src].ReadGOP(a.Video, a.PhysDir, a.Seq)
+			d, err := r.members[src].ReadGOP(a.Video, a.PhysDir, a.Seq)
 			if err != nil {
 				if errors.Is(err, fs.ErrNotExist) {
 					sawMissing = true // likely deleted mid-scrub
 				} else {
-					note(src, err)
-					errs = append(errs, tag(src, err))
+					r.note(src, err)
+					errs = append(errs, r.memberErr(src, err))
 				}
 				continue
 			}
@@ -348,12 +283,12 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 			}
 		}
 		for _, i := range needs {
-			if err := rs.Stores[i].WriteGOP(a.Video, a.PhysDir, a.Seq, data); err != nil {
-				note(i, err)
-				errs = append(errs, tag(i, err))
+			if err := r.members[i].WriteGOP(a.Video, a.PhysDir, a.Seq, data); err != nil {
+				r.note(i, err)
+				errs = append(errs, r.memberErr(i, err))
 				continue
 			}
-			note(i, nil)
+			r.note(i, nil)
 			st.Repaired++
 		}
 	}
@@ -378,8 +313,8 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 		}
 		st.Checked++
 		alive := false
-		for _, i := range rs.Placement(a.Video, a.PhysDir, a.Seq) {
-			if _, err := rs.Stores[i].GOPSize(a.Video, a.PhysDir, a.Seq); err == nil {
+		for _, i := range r.placement(a.Video, a.PhysDir, a.Seq) {
+			if _, err := r.members[i].GOPSize(a.Video, a.PhysDir, a.Seq); err == nil {
 				alive = true
 				break
 			}

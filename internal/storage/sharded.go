@@ -1,101 +1,24 @@
 package storage
 
-import (
-	"errors"
-	"fmt"
-	"hash/fnv"
-	"io/fs"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "fmt"
 
-// Sharded distributes GOPs across N filesystem roots by a stable hash of
-// the GOP's logical address (video, physDir, seq), optionally keeping R
-// replicas of every GOP on R distinct shards. Every shard is an ordinary
-// localfs Store, so a sharded deployment's on-disk layout is N
-// independent Figure-2 trees; which shards hold a GOP is a pure function
-// of its address, never of write order, so any process that opens the
-// same roots in the same order sees the same placement.
-//
-// Replication (R > 1) places each GOP on its primary shard plus the
-// R-1 ring successors:
-//
-//   - Writes fan out to every replica in parallel. The FIRST success
-//     makes the write durable; shards that miss the write are repaired
-//     by the next scrub pass (Scrub), so a briefly-degraded root costs
-//     latency on its GOPs, not data.
-//   - Reads (ReadGOP, GOPSize) fail over through the replicas in
-//     placement order. Every per-shard failure feeds an error counter;
-//     a shard failing repeatedly (demoteAfter consecutive errors) is
-//     demoted to last resort in the failover order until an operation
-//     against it succeeds again, so a flapping root stops taxing every
-//     read that hashes to it.
-//   - Scrub walks all placements and re-copies missing or wrong-sized
-//     replicas from a healthy copy (see scrub.go), restoring full
-//     replication after a root is wiped or replaced.
-//
-// Growing replicas on an existing store is safe: the primary shard of
-// every address is unchanged (R placements extend the R-1 placements),
-// so existing GOPs stay readable and the first scrub backfills the new
-// replicas. Changing the number or order of roots is NOT safe — the root
-// list is part of the store's identity.
-//
-// Failure model: with R = 1 a degraded shard (unmounted disk, bad
-// permissions) surfaces errors only on operations whose GOPs hash to it —
-// the store keeps serving every GOP on healthy shards. With R > 1 those
-// operations keep working too, served by the surviving replicas.
-// Whole-video operations (DeletePhysical, DeleteVideo, Walk) fan out to
-// all shards and join errors.
-type Sharded struct {
-	shards   []*Store
-	replicas int
-
-	health    []shardHealth
-	failovers atomic.Int64
-
-	scrubMu   sync.Mutex
-	scrubs    int64
-	lastScrub ScrubStats
-}
-
-// shardHealth tracks one shard's failure counters. errors is cumulative
-// (operational metrics); streak counts consecutive failures and resets on
-// any success — it drives read-order demotion.
-type shardHealth struct {
-	errors atomic.Int64
-	streak atomic.Int64
-}
-
-// demoteAfter is the consecutive-failure streak at which a shard is
-// demoted to last resort in the read failover order. One success
-// re-promotes it, so a recovered root returns to service without
-// operator action.
-const demoteAfter = 3
-
-// OpenSharded creates (if needed) and opens one localfs store per root,
-// with no replication (every GOP on exactly one shard). At least one
-// root is required; the root ORDER is part of the store's identity —
-// reopening with the same roots in a different order scatters reads to
-// the wrong shards.
-func OpenSharded(roots []string) (*Sharded, error) {
+// OpenSharded creates (if needed) and opens one localfs store per root
+// and returns the "sharded" Ring over them, with no replication (every
+// GOP on exactly one shard). Every shard is an ordinary localfs Store,
+// so a sharded deployment's on-disk layout is N independent Figure-2
+// trees. At least one root is required; the root ORDER is part of the
+// store's identity — reopening with the same roots in a different order
+// scatters reads to the wrong shards.
+func OpenSharded(roots []string) (*Ring, error) {
 	return OpenShardedReplicated(roots, 1)
 }
 
 // OpenShardedReplicated is OpenSharded with R-way replication: each GOP
 // is kept on replicas distinct shards (primary plus ring successors).
 // replicas < 1 means 1; replicas must not exceed the number of roots.
-func OpenShardedReplicated(roots []string, replicas int) (*Sharded, error) {
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("storage: sharded backend needs at least one root")
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > len(roots) {
-		return nil, fmt.Errorf("storage: %d replicas need %d distinct roots, have %d", replicas, replicas, len(roots))
-	}
-	shards := make([]*Store, len(roots))
+// Members are labelled by root path in health rows and error tags.
+func OpenShardedReplicated(roots []string, replicas int) (*Ring, error) {
+	shards := make([]Backend, len(roots))
 	for i, root := range roots {
 		s, err := Open(root)
 		if err != nil {
@@ -103,378 +26,5 @@ func OpenShardedReplicated(roots []string, replicas int) (*Sharded, error) {
 		}
 		shards[i] = s
 	}
-	return &Sharded{
-		shards:   shards,
-		replicas: replicas,
-		health:   make([]shardHealth, len(roots)),
-	}, nil
-}
-
-// Name identifies the backend kind.
-func (s *Sharded) Name() string { return "sharded" }
-
-// Shards returns the number of shard roots.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
-// Replicas returns the number of copies kept of every GOP.
-func (s *Sharded) Replicas() int { return s.replicas }
-
-// shardOf maps a GOP address to its primary shard (stable FNV-1a hash).
-func (s *Sharded) shardOf(video, physDir string, seq int) int {
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%s\x00%s\x00%d", video, physDir, seq)
-	return int(h.Sum32() % uint32(len(s.shards)))
-}
-
-// placement maps a GOP address to the shards that hold its replicas:
-// the primary followed by its ring successors. The R = 1 placement is a
-// prefix of every larger R's, which is what makes raising -replicas on
-// an existing store safe.
-func (s *Sharded) placement(video, physDir string, seq int) []int {
-	p := make([]int, s.replicas)
-	first := s.shardOf(video, physDir, seq)
-	for i := range p {
-		p[i] = (first + i) % len(s.shards)
-	}
-	return p
-}
-
-// readOrder returns the placement reordered for failover: healthy shards
-// in placement order first, demoted shards (streak >= demoteAfter) last.
-func (s *Sharded) readOrder(p []int) []int {
-	if len(p) == 1 {
-		return p
-	}
-	order := make([]int, 0, len(p))
-	var demoted []int
-	for _, i := range p {
-		if s.health[i].streak.Load() >= demoteAfter {
-			demoted = append(demoted, i)
-		} else {
-			order = append(order, i)
-		}
-	}
-	return append(order, demoted...)
-}
-
-// noteOK records a successful operation against a shard, re-promoting it
-// if it was demoted.
-func (s *Sharded) noteOK(i int) { s.health[i].streak.Store(0) }
-
-// noteErr records a failed operation against a shard.
-func (s *Sharded) noteErr(i int) {
-	s.health[i].errors.Add(1)
-	s.health[i].streak.Add(1)
-}
-
-// shardErr tags an error with the shard it came from, so a degraded
-// shard is identifiable per GOP. The chain (fs.ErrNotExist etc.) is
-// preserved for errors.Is.
-func shardErr(i int, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("shard %d: %w", i, err)
-}
-
-// WriteGOP fans the write out to every replica in parallel. The first
-// success makes the write durable: shards that failed are charged an
-// error and their copies are re-created by the next scrub pass. Only
-// when every replica fails does the write itself fail.
-func (s *Sharded) WriteGOP(video, physDir string, seq int, data []byte) error {
-	p := s.placement(video, physDir, seq)
-	if len(p) == 1 {
-		i := p[0]
-		err := s.shards[i].WriteGOP(video, physDir, seq, data)
-		s.noteResult(i, err)
-		return shardErr(i, err)
-	}
-	errs := make([]error, len(p))
-	var wg sync.WaitGroup
-	for k, i := range p {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := s.shards[i].WriteGOP(video, physDir, seq, data)
-			s.noteResult(i, err)
-			errs[k] = shardErr(i, err)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err == nil {
-			return nil
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// noteResult folds one shard operation's outcome into its health
-// counters.
-func (s *Sharded) noteResult(i int, err error) {
-	if err == nil {
-		s.noteOK(i)
-	} else {
-		s.noteErr(i)
-	}
-}
-
-// errWrongSize marks a replica whose copy exists but is not the size
-// the caller expects: stale after a rewrite that missed this shard.
-// Like a missing replica, it is blamed on the shard only when another
-// replica can actually serve the expected bytes — if every replica
-// "mismatches", the caller's expectation is what's stale.
-var errWrongSize = errors.New("storage: replica is not the expected size")
-
-// readReplicas runs op against a GOP's replicas in failover order until
-// one succeeds, returning the serving shard. Health accounting
-// distinguishes a degraded replica from a genuinely-missing GOP: a
-// fs.ErrNotExist (or wrong-size) result is charged to a shard only when
-// ANOTHER replica turns out to have the bytes (the shard is out of
-// sync) — if every replica reports not-exist the GOP is simply gone
-// (evicted under a racing read) and nobody is blamed. Other failures
-// always count.
-func (s *Sharded) readReplicas(p []int, op func(shard int) error) (int, error) {
-	if len(p) == 1 {
-		i := p[0]
-		err := op(i)
-		if err == nil || errors.Is(err, fs.ErrNotExist) {
-			// A plain miss on a replica-less store is indistinguishable
-			// from legitimate eviction; don't poison the health counter.
-			if err == nil {
-				s.noteOK(i)
-			}
-			return i, shardErr(i, err)
-		}
-		s.noteErr(i)
-		return -1, shardErr(i, err)
-	}
-	var errs []error
-	var missing []int
-	for _, i := range s.readOrder(p) {
-		err := op(i)
-		if err == nil {
-			s.noteOK(i)
-			for _, m := range missing {
-				s.noteErr(m)
-			}
-			if i != p[0] {
-				s.failovers.Add(1)
-			}
-			return i, nil
-		}
-		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, errWrongSize) {
-			missing = append(missing, i)
-		} else {
-			s.noteErr(i)
-		}
-		errs = append(errs, shardErr(i, err))
-	}
-	return -1, errors.Join(errs...)
-}
-
-// ReadGOP reads one GOP, failing over through its replicas; see
-// readReplicas for the health accounting.
-func (s *Sharded) ReadGOP(video, physDir string, seq int) ([]byte, error) {
-	var data []byte
-	_, err := s.readReplicas(s.placement(video, physDir, seq), func(i int) error {
-		var err error
-		data, err = s.shards[i].ReadGOP(video, physDir, seq)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// ReadGOPExpect reads one GOP, failing over past replicas whose copy is
-// not the expected size — the copy a rewrite left stale on a shard that
-// missed the write. If NO replica has the expected size, the
-// expectation itself is presumed stale (the GOP was legitimately
-// rewritten after the caller snapshotted its metadata) and the read
-// falls back to plain failover, so the caller's own staleness handling
-// sees the live bytes. want < 0 means no expectation.
-func (s *Sharded) ReadGOPExpect(video, physDir string, seq int, want int64) ([]byte, error) {
-	if s.replicas == 1 || want < 0 {
-		return s.ReadGOP(video, physDir, seq)
-	}
-	p := s.placement(video, physDir, seq)
-	var data []byte
-	_, err := s.readReplicas(p, func(i int) error {
-		d, err := s.shards[i].ReadGOP(video, physDir, seq)
-		if err != nil {
-			return err
-		}
-		if int64(len(d)) != want {
-			return fmt.Errorf("shard %d has %d bytes, want %d: %w", i, len(d), want, errWrongSize)
-		}
-		data = d
-		return nil
-	})
-	if err == nil {
-		return data, nil
-	}
-	if errors.Is(err, errWrongSize) {
-		return s.ReadGOP(video, physDir, seq)
-	}
-	return nil, err
-}
-
-// GOPSize returns the stored size of one GOP from the first healthy
-// replica in failover order.
-func (s *Sharded) GOPSize(video, physDir string, seq int) (int64, error) {
-	var n int64
-	_, err := s.readReplicas(s.placement(video, physDir, seq), func(i int) error {
-		var err error
-		n, err = s.shards[i].GOPSize(video, physDir, seq)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// DeleteGOP removes every replica of one GOP, in REVERSE placement
-// order: a concurrent failover read racing the delete then either
-// serves the still-present primary or finds every replica gone — it can
-// never miss the primary yet hit a successor, which would charge the
-// healthy primary a phantom out-of-sync error ("evictions blame
-// nobody"). Missing replicas are not an error (eviction and crash
-// recovery may race), but a replica that cannot be removed fails the
-// delete — leaving it behind silently would let a later scrub resurrect
-// the GOP.
-func (s *Sharded) DeleteGOP(video, physDir string, seq int) error {
-	var errs []error
-	p := s.placement(video, physDir, seq)
-	for k := len(p) - 1; k >= 0; k-- {
-		i := p[k]
-		err := s.shards[i].DeleteGOP(video, physDir, seq)
-		s.noteResult(i, err)
-		if err != nil {
-			errs = append(errs, shardErr(i, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// LinkGOP makes dst share src's bytes on every dst replica: a hard link
-// where a dst replica's shard also holds a src replica (same
-// filesystem), a copy otherwise — the same fallback a link-less
-// filesystem gets. Like WriteGOP, the first replica success makes the
-// link durable; scrub repairs stragglers.
-func (s *Sharded) LinkGOP(video, srcDir string, srcSeq int, dstVideo, dstDir string, dstSeq int) error {
-	onSrc := make(map[int]bool, s.replicas)
-	for _, i := range s.placement(video, srcDir, srcSeq) {
-		onSrc[i] = true
-	}
-	// The copy fallback reads the source once, via the normal failover
-	// path, lazily — an all-local-links call never touches it.
-	var data []byte
-	var dataErr error
-	fetched := false
-	fetch := func() ([]byte, error) {
-		if !fetched {
-			fetched = true
-			data, dataErr = s.ReadGOP(video, srcDir, srcSeq)
-		}
-		return data, dataErr
-	}
-	var errs []error
-	ok := false
-	for _, d := range s.placement(dstVideo, dstDir, dstSeq) {
-		if onSrc[d] {
-			err := s.shards[d].LinkGOP(video, srcDir, srcSeq, dstVideo, dstDir, dstSeq)
-			if err == nil {
-				s.noteOK(d)
-				ok = true
-				continue
-			}
-			if !errors.Is(err, fs.ErrNotExist) {
-				s.noteErr(d)
-			}
-			// This shard's source replica may be missing or degraded; fall
-			// through to copying from a healthy replica.
-		}
-		b, err := fetch()
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if err := s.shards[d].WriteGOP(dstVideo, dstDir, dstSeq, b); err != nil {
-			s.noteErr(d)
-			errs = append(errs, shardErr(d, err))
-			continue
-		}
-		s.noteOK(d)
-		ok = true
-	}
-	if ok {
-		return nil
-	}
-	return errors.Join(errs...)
-}
-
-// fanOut runs fn against every shard in parallel and joins the errors.
-func (s *Sharded) fanOut(fn func(i int, shard *Store) error) error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, shard := range s.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = shardErr(i, fn(i, shard))
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-func (s *Sharded) DeletePhysical(video, physDir string) error {
-	return s.fanOut(func(_ int, shard *Store) error {
-		return shard.DeletePhysical(video, physDir)
-	})
-}
-
-func (s *Sharded) DeleteVideo(video string) error {
-	return s.fanOut(func(_ int, shard *Store) error {
-		return shard.DeleteVideo(video)
-	})
-}
-
-// SweepTemps reclaims crash-orphaned temp files on every shard in
-// parallel (see TempSweeper).
-func (s *Sharded) SweepTemps(olderThan time.Duration) error {
-	return s.fanOut(func(_ int, shard *Store) error {
-		return shard.SweepTemps(olderThan)
-	})
-}
-
-// Walk visits every GOP exactly once — under replication the same
-// address (GOPAddr) exists on several shards, and only the first copy
-// found (in shard order) is reported. Shards are walked sequentially
-// (fn is not required to be concurrency-safe); within a shard, order is
-// unspecified as per the Backend contract.
-func (s *Sharded) Walk(fn func(video, physDir string, seq int, size int64) error) error {
-	var seen map[GOPAddr]bool
-	if s.replicas > 1 {
-		seen = make(map[GOPAddr]bool)
-	}
-	for i, shard := range s.shards {
-		err := shard.Walk(func(video, physDir string, seq int, size int64) error {
-			if seen != nil {
-				a := GOPAddr{video, physDir, seq}
-				if seen[a] {
-					return nil
-				}
-				seen[a] = true
-			}
-			return fn(video, physDir, seq, size)
-		})
-		if err != nil {
-			return shardErr(i, err)
-		}
-	}
-	return nil
+	return NewRing("sharded", shards, roots, replicas)
 }
