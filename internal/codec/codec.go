@@ -22,6 +22,32 @@
 // Pixel data is coded in YUV420 (as real codecs do); callers convert to and
 // from their preferred formats with internal/frame. The "raw" codec stores
 // frames losslessly in their original pixel format.
+//
+// # Span kernels and the bitstream freeze
+//
+// The predictive profiles' sample loops are span kernels: a row is walked as
+// runs of blocks sharing one motion vector, the vector is resolved once per
+// run, and the part of the run whose displaced samples lie inside the
+// reference is coded by a loop over equal-length row slices (eight samples
+// at a time where all eight residuals are zero), leaving only the samples a
+// vector pushes past the left or right edge to the per-sample clamped path.
+// Intra prediction is specialised per row, and the motion search's SAD sums
+// over row slices. See encodeInterPlane, decodeInterPlane and
+// docs/ARCHITECTURE.md.
+//
+// The bitstream is frozen: h264 and hevc GOPs carry no version beyond the
+// v1 container, so every encoded byte and every decoded pixel must stay
+// what earlier builds produced. golden_test.go holds digests of both,
+// captured before the kernels existed, and kernels_test.go property-tests
+// each kernel against the per-sample loops it replaced (reference_test.go).
+//
+// DecodeRange allocates only the frames it returns. The inflater, the
+// inflated stream, the MV table and the look-back planes come from a pooled
+// scratch held for one call; frames in the requested window are
+// reconstructed directly into the returned frame's Data, which the codec
+// reads as the next frame's reference while the call runs and never touches
+// after it returns. Inflated streams are bounded by what the header's
+// dimensions allow, so a hostile payload costs its own size.
 package codec
 
 import (
@@ -143,6 +169,11 @@ const (
 	containerV2   = 2
 	maxCodecName  = 32      // v2 name length bound (sanity, not a format limit)
 	maxFrameCount = 1 << 20 // implausibility bound on the header frame count
+	// maxDimension is the implausibility bound on the header width and
+	// height (four times the largest picture any H.264/HEVC level defines):
+	// a header is client-supplied, and decoders size arithmetic and
+	// allocations from it.
+	maxDimension = 1 << 15
 )
 
 // legacyCodecByte is the closed v1 tag table. Frozen: new codecs get v2
@@ -201,6 +232,9 @@ func DecodeHeader(data []byte) (Header, error) {
 	hd.Width = int(binary.LittleEndian.Uint32(data[off+2 : off+6]))
 	hd.Height = int(binary.LittleEndian.Uint32(data[off+6 : off+10]))
 	hd.FrameCount = int(binary.LittleEndian.Uint32(data[off+10 : off+14]))
+	if hd.Width <= 0 || hd.Width > maxDimension || hd.Height <= 0 || hd.Height > maxDimension {
+		return hd, fmt.Errorf("codec: implausible dimensions %dx%d", hd.Width, hd.Height)
+	}
 	if hd.FrameCount < 0 || hd.FrameCount > maxFrameCount {
 		return hd, fmt.Errorf("codec: implausible frame count %d", hd.FrameCount)
 	}

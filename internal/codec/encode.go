@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/frame"
@@ -25,16 +26,6 @@ func yuvPlanes(f *frame.Frame) [3]plane {
 		{cw, ch, f.Data[ys : ys+cs]},
 		{cw, ch, f.Data[ys+cs : ys+2*cs]},
 	}
-}
-
-// zigzagAppend writes one residual using the variable-length byte code:
-// values with zigzag < 255 take one byte; larger values take three.
-func zigzagAppend(buf []byte, r int) []byte {
-	z := uint32(r<<1) ^ uint32(r>>31)
-	if z < 255 {
-		return append(buf, byte(z))
-	}
-	return append(buf, 255, byte(z), byte(z>>8))
 }
 
 // quantize rounds residual r to the nearest multiple of q and returns the
@@ -214,14 +205,15 @@ type lossyScratch struct {
 	qt      quantTab     // residual quantization lookup
 }
 
-// quantTab tabulates quantize(r, q) and its dequantized reconstruction
-// delta for every residual r in [-255, 255], replacing two integer
-// divisions per sample in the encode inner loops with array lookups. The
+// quantTab tabulates, for every residual r in [-255, 255], the zigzag code
+// of quantize(r, q) and the dequantized reconstruction delta, replacing two
+// integer divisions and the zigzag fold per sample with array lookups. The
 // entries are exactly quantize's results, so encoded bytes are unchanged.
 type quantTab struct {
-	q  int // the step the tables were built for (0 = unbuilt)
-	qr [511]int16
-	rq [511]int16
+	q    int         // the step the tables were built for (0 = unbuilt)
+	dead int         // |r| <= dead quantizes to zero (the dead zone)
+	zz   [511]uint16 // zigzag(quantize(r, q)), indexed by r+255
+	rq   [511]int16  // quantize(r, q)*q, indexed by r+255
 }
 
 // build (re)fills the tables for quantization step q.
@@ -230,11 +222,39 @@ func (t *quantTab) build(q int) {
 		return
 	}
 	t.q = q
+	t.dead = (q - 1) / 2
 	for r := -255; r <= 255; r++ {
 		qr := quantize(r, q)
-		t.qr[r+255] = int16(qr)
+		t.zz[r+255] = uint16(uint32(qr<<1) ^ uint32(qr>>31))
 		t.rq[r+255] = int16(qr * q)
 	}
+}
+
+// put writes the variable-length code of residual r (r+255 = e) at out[k:]
+// and returns the next write position: zigzag values below 255 take one
+// byte, larger ones the 255 escape and two value bytes.
+func (t *quantTab) put(out []byte, k, e int) int {
+	z := t.zz[e]
+	if z < 255 {
+		out[k] = byte(z)
+		return k + 1
+	}
+	out[k], out[k+1], out[k+2] = 255, byte(z), byte(z>>8)
+	return k + 3
+}
+
+// maxCodeLen is the longest code put writes for one sample.
+const maxCodeLen = 3
+
+// roomFor returns dst with spare capacity for n more bytes, so a row kernel
+// can index its output instead of appending per sample.
+func roomFor(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	grown := make([]byte, len(dst), 2*cap(dst)+n)
+	copy(grown, dst)
+	return grown
 }
 
 // deflate compresses one frame's stream into a fresh exactly-sized payload,
@@ -320,7 +340,7 @@ func (c lossyCodec) encode(e *Encoder, frames []*frame.Frame, quality int, captu
 			prev := sc.rec[(i+1)&1]
 			// Motion vectors are estimated on luma and halved for chroma.
 			sc.mvs = estimateMotion(sc.mvs, planes[0], prev[0], prof)
-			stream = appendMVs(stream, sc.mvs, prof)
+			stream = appendMVs(stream, sc.mvs)
 			for p := 0; p < 3; p++ {
 				bs := prof.blockSize
 				scale := 1
@@ -357,83 +377,205 @@ func (c lossyCodec) encode(e *Encoder, frames []*frame.Frame, quality int, captu
 // average of left and top (hevc profile), quantized, and entropy coded.
 // Residuals append to dst; the reconstruction the next frame predicts from
 // is written into rec, which must already have the plane's dimensions.
+//
+// The predictor is specialised per row instead of switched per sample: the
+// first row of either profile and every row of the left-only profile run the
+// left kernel (seeded with 128 on the first row, with the sample above on
+// later ones), and the remaining rows of the 2-D profile run the left+top
+// kernel with its first column peeled.
 func encodeIntraPlane(dst []byte, p plane, qt *quantTab, intra2D bool, rec plane) []byte {
+	w := p.w
 	for y := 0; y < p.h; y++ {
-		row := y * p.w
-		for x := 0; x < p.w; x++ {
-			pred := intraPredict(rec, x, y, intra2D)
-			r := int(p.pix[row+x]) - pred
-			dst = zigzagAppend(dst, int(qt.qr[r+255]))
-			rec.pix[row+x] = clampU8(pred + int(qt.rq[r+255]))
+		dst = roomFor(dst, maxCodeLen*w)
+		out := dst[len(dst):cap(dst)]
+		src, cur := p.pix[y*w:][:w], rec.pix[y*w:][:w]
+		var k int
+		switch {
+		case y == 0:
+			k = encodeIntraRowLeft(out, src, cur, 128, qt)
+		case !intra2D:
+			k = encodeIntraRowLeft(out, src, cur, int(rec.pix[(y-1)*w]), qt)
+		default:
+			k = encodeIntraRow2D(out, src, cur, rec.pix[(y-1)*w:][:w], qt)
 		}
+		dst = dst[:len(dst)+k]
 	}
 	return dst
 }
 
-// intraPredict returns the spatial prediction for sample (x, y) given the
-// already-reconstructed samples of the same plane.
-func intraPredict(rec plane, x, y int, intra2D bool) int {
-	left, top := -1, -1
-	if x > 0 {
-		left = int(rec.pix[y*rec.w+x-1])
+// encodeIntraRowLeft codes one row predicting each sample from the
+// reconstruction to its left; first predicts the first sample. It returns
+// the number of bytes written to out.
+func encodeIntraRowLeft(out, src, rec []byte, first int, qt *quantTab) int {
+	rec = rec[:len(src)]
+	pred, k := first, 0
+	for x, s := range src {
+		e := int(s) - pred + 255
+		k = qt.put(out, k, e)
+		v := clampU8(pred + int(qt.rq[e]))
+		rec[x] = v
+		pred = int(v)
 	}
-	if y > 0 {
-		top = int(rec.pix[(y-1)*rec.w+x])
+	return k
+}
+
+// encodeIntraRow2D codes one row below the first predicting each sample from
+// the rounded mean of its left and top reconstructions; the first column has
+// no left neighbor and predicts from top alone.
+func encodeIntraRow2D(out, src, rec, top []byte, qt *quantTab) int {
+	rec, top = rec[:len(src)], top[:len(src)]
+	pred, k := int(top[0]), 0
+	for x, s := range src {
+		if x > 0 {
+			pred = (pred + int(top[x]) + 1) >> 1
+		}
+		e := int(s) - pred + 255
+		k = qt.put(out, k, e)
+		v := clampU8(pred + int(qt.rq[e]))
+		rec[x] = v
+		pred = int(v)
 	}
-	switch {
-	case intra2D && left >= 0 && top >= 0:
-		return (left + top + 1) / 2
-	case left >= 0:
-		return left
-	case top >= 0:
-		return top
-	default:
-		return 128
-	}
+	return k
 }
 
 // encodeInterPlane codes a plane against the previous reconstructed plane
-// using per-block motion vectors (scaled down by `scale` for chroma).
-// Residuals append to dst; the reconstruction is written into rec.
+// using per-block motion vectors (scaled down by `scale` for chroma; an
+// empty table means zero motion everywhere). Residuals append to dst; the
+// reconstruction is written into rec.
+//
+// Each row is walked as runs of blocks sharing one vector (nextRun), the
+// vector is resolved once per run, and the part of the run whose displaced
+// samples lie inside the reference goes through the row-slice kernel
+// encodeInterSpan. Only the few samples a vector pushes past the left or
+// right edge take the per-sample clamped path; vertical clamping is a choice
+// of reference row and costs nothing.
 func encodeInterPlane(dst []byte, p, ref plane, mvs []mv, bs, scale int, qt *quantTab, rec plane) []byte {
-	bw := (p.w + bs - 1) / bs
+	w := p.w
+	bw := (w + bs - 1) / bs
 	for y := 0; y < p.h; y++ {
-		row := y * p.w
-		by := y / bs
-		for x := 0; x < p.w; x++ {
-			m := mvs[by*bw+x/bs]
-			pred := refSample(ref, x+m.dx/scale, y+m.dy/scale)
-			r := int(p.pix[row+x]) - pred
-			dst = zigzagAppend(dst, int(qt.qr[r+255]))
-			rec.pix[row+x] = clampU8(pred + int(qt.rq[r+255]))
+		dst = roomFor(dst, maxCodeLen*w)
+		out := dst[len(dst):cap(dst)]
+		src, cur := p.pix[y*w:][:w], rec.pix[y*w:][:w]
+		var rowMVs []mv
+		if len(mvs) > 0 {
+			rowMVs = mvs[(y/bs)*bw:][:bw]
 		}
+		k := 0
+		for x0 := 0; x0 < w; {
+			x1, m := nextRun(rowMVs, x0, bs, w)
+			dx := m.dx / scale
+			refRow := ref.pix[clampInt(y+m.dy/scale, ref.h)*w:][:w]
+			lo, hi := inBounds(x0, x1, dx, w)
+			k += encodeInterClamped(out[k:], src, refRow, cur, x0, lo, dx, qt)
+			if lo < hi {
+				k += encodeInterSpan(out[k:], src[lo:hi], refRow[lo+dx:hi+dx], cur[lo:hi], qt)
+			}
+			k += encodeInterClamped(out[k:], src, refRow, cur, hi, x1, dx, qt)
+			x0 = x1
+		}
+		dst = dst[:len(dst)+k]
 	}
 	return dst
 }
 
-// refSample samples the reference plane with edge clamping.
-func refSample(ref plane, x, y int) int {
-	if x < 0 {
-		x = 0
-	}
-	if x >= ref.w {
-		x = ref.w - 1
-	}
-	if y < 0 {
-		y = 0
-	}
-	if y >= ref.h {
-		y = ref.h - 1
-	}
-	return int(ref.pix[y*ref.w+x])
+// inBounds splits the run [x0, x1) displaced by dx into a clamped head
+// [x0, lo), an in-reference middle [lo, hi) and a clamped tail [hi, x1).
+// A run pushed wholly outside the reference has an empty middle.
+func inBounds(x0, x1, dx, w int) (lo, hi int) {
+	lo = min(max(x0, -dx), x1)
+	hi = max(min(x1, w-dx), lo)
+	return lo, hi
 }
 
-func clampU8(v int) byte {
+// clampInt clamps a coordinate to [0, n).
+func clampInt(v, n int) int {
 	if v < 0 {
 		return 0
 	}
-	if v > 255 {
-		return 255
+	if v >= n {
+		return n - 1
 	}
-	return byte(v)
+	return v
+}
+
+// encodeInterSpan is the inter-prediction row kernel: src, pred and rec are
+// equal-length slices of the source row, the displaced reference row and
+// the reconstruction row. It returns the bytes written to out, which must
+// have room for maxCodeLen per sample.
+//
+// Samples are taken eight at a time: when all eight residuals fall inside
+// the quantizer's dead zone (the common case on a static background) they
+// code as eight zero bytes and reconstruct as the prediction itself, which
+// one word compare, one word store and one word copy do without touching
+// the tables.
+func encodeInterSpan(out, src, pred, rec []byte, qt *quantTab) int {
+	pred, rec = pred[:len(src)], rec[:len(src)]
+	dead := uint64(qt.dead) * swarOnes
+	k, i := 0, 0
+	for ; i+8 <= len(src); i += 8 {
+		pw := binary.LittleEndian.Uint64(pred[i:])
+		if allWithin(binary.LittleEndian.Uint64(src[i:]), pw, dead) {
+			binary.LittleEndian.PutUint64(out[k:], 0)
+			binary.LittleEndian.PutUint64(rec[i:], pw)
+			k += 8
+			continue
+		}
+		for j := i; j < i+8; j++ {
+			e := int(src[j]) - int(pred[j]) + 255
+			k = qt.put(out, k, e)
+			rec[j] = clampU8(int(pred[j]) + int(qt.rq[e]))
+		}
+	}
+	for ; i < len(src); i++ {
+		e := int(src[i]) - int(pred[i]) + 255
+		k = qt.put(out, k, e)
+		rec[i] = clampU8(int(pred[i]) + int(qt.rq[e]))
+	}
+	return k
+}
+
+// SWAR constants: eight bytes are compared as two words of four 16-bit
+// lanes (even bytes, odd bytes) so a per-byte difference cannot borrow from
+// its neighbour.
+const (
+	swarLanes = 0x00FF00FF00FF00FF
+	swarOnes  = 0x0001000100010001
+	swarBias  = 0x8000800080008000
+)
+
+// allWithin reports whether every byte of a is within the dead zone of the
+// matching byte of b; dead is the zone's half-width replicated into every
+// 16-bit lane. Per lane, 0x8000+dead+a-b keeps its top bit iff a-b >= -dead,
+// and the mirrored sum iff b-a >= -dead.
+func allWithin(a, b, dead uint64) bool {
+	ae, ao := a&swarLanes, a>>8&swarLanes
+	be, bo := b&swarLanes, b>>8&swarLanes
+	t := swarBias + dead
+	return (t+ae-be)&(t+be-ae)&(t+ao-bo)&(t+bo-ao)&swarBias == swarBias
+}
+
+// encodeInterClamped codes samples [x0, x1) of a row whose displaced
+// reference column falls outside the plane, clamping each to the nearest
+// edge sample — the border path of encodeInterPlane.
+func encodeInterClamped(out, src, refRow, rec []byte, x0, x1, dx int, qt *quantTab) int {
+	k := 0
+	for x := x0; x < x1; x++ {
+		pred := int(refRow[clampInt(x+dx, len(refRow))])
+		e := int(src[x]) - pred + 255
+		k = qt.put(out, k, e)
+		rec[x] = clampU8(pred + int(qt.rq[e]))
+	}
+	return k
+}
+
+// clampU8 saturates v to a byte. In-range values, nearly all of them, take
+// the single unsigned compare.
+func clampU8(v int) byte {
+	if uint(v) <= 255 {
+		return byte(v)
+	}
+	if v < 0 {
+		return 0
+	}
+	return 255
 }

@@ -10,21 +10,45 @@ type mv struct {
 	dx, dy int
 }
 
-// estimateMotion returns one motion vector per block of the luma plane,
-// reusing dst's backing array when it is large enough.
-func estimateMotion(dst []mv, cur, ref plane, prof profile) []mv {
+// mvTableLen is the number of motion vectors a P-frame of the given luma
+// dimensions carries: one per block, none for a zero-motion profile.
+func mvTableLen(lumaW, lumaH int, prof profile) int {
+	if prof.searchRadius == 0 {
+		return 0
+	}
 	bs := prof.blockSize
-	bw := (cur.w + bs - 1) / bs
-	bh := (cur.h + bs - 1) / bs
-	n := bw * bh
+	return ((lumaW + bs - 1) / bs) * ((lumaH + bs - 1) / bs)
+}
+
+// nextRun returns the end of the run of blocks starting at sample x0 that
+// share one motion vector, and that vector. rowMVs is the block row's slice
+// of the MV table; empty means zero motion, and the whole row is one run.
+func nextRun(rowMVs []mv, x0, bs, w int) (x1 int, m mv) {
+	if len(rowMVs) == 0 {
+		return w, mv{}
+	}
+	b := x0 / bs
+	m = rowMVs[b]
+	for b++; b < len(rowMVs) && rowMVs[b] == m; b++ {
+	}
+	return min(b*bs, w), m
+}
+
+// estimateMotion returns one motion vector per block of the luma plane,
+// reusing dst's backing array when it is large enough. The zero-motion
+// profile gets an empty table, which the plane kernels read as all-zero.
+func estimateMotion(dst []mv, cur, ref plane, prof profile) []mv {
+	n := mvTableLen(cur.w, cur.h, prof)
 	if cap(dst) < n {
 		dst = make([]mv, n)
 	}
 	dst = dst[:n]
-	if prof.searchRadius == 0 {
-		clear(dst) // zero-motion profile
+	if n == 0 {
 		return dst
 	}
+	bs := prof.blockSize
+	bw := (cur.w + bs - 1) / bs
+	bh := (cur.h + bs - 1) / bs
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {
 			dst[by*bw+bx] = diamondSearch(cur, ref, bx*bs, by*bs, bs, prof.searchRadius)
@@ -66,32 +90,26 @@ func diamondSearch(cur, ref plane, x0, y0, bs, radius int) mv {
 
 // blockSAD computes the sum of absolute differences between the current
 // block and the reference block displaced by (dx, dy), early-exiting once
-// the running sum exceeds limit.
+// the running sum exceeds limit. Rows clamp vertically by choosing the
+// reference row; a block whose displaced columns stay inside the reference
+// (every candidate but those at the left and right frame edges) sums over
+// two row slices, the rest clamp each column.
 func blockSAD(cur, ref plane, x0, y0, bs, dx, dy, limit int) int {
+	x1, y1 := min(x0+bs, cur.w), min(y0+bs, cur.h)
+	inside := x0+dx >= 0 && x1+dx <= ref.w
 	sum := 0
-	for y := y0; y < y0+bs && y < cur.h; y++ {
-		row := y * cur.w
-		ry := y + dy
-		if ry < 0 {
-			ry = 0
-		}
-		if ry >= ref.h {
-			ry = ref.h - 1
-		}
-		rrow := ry * ref.w
-		for x := x0; x < x0+bs && x < cur.w; x++ {
-			rx := x + dx
-			if rx < 0 {
-				rx = 0
+	for y := y0; y < y1; y++ {
+		crow := cur.pix[y*cur.w+x0 : y*cur.w+x1]
+		rrow := ref.pix[clampInt(y+dy, ref.h)*ref.w:][:ref.w]
+		if inside {
+			rrow = rrow[x0+dx:][:len(crow)]
+			for i, c := range crow {
+				sum += absDiff(c, rrow[i])
 			}
-			if rx >= ref.w {
-				rx = ref.w - 1
+		} else {
+			for i, c := range crow {
+				sum += absDiff(c, rrow[clampInt(x0+i+dx, ref.w)])
 			}
-			d := int(cur.pix[row+x]) - int(ref.pix[rrow+rx])
-			if d < 0 {
-				d = -d
-			}
-			sum += d
 		}
 		if sum >= limit {
 			return sum
@@ -100,35 +118,37 @@ func blockSAD(cur, ref plane, x0, y0, bs, dx, dy, limit int) int {
 	return sum
 }
 
+func absDiff(a, b byte) int {
+	d := int(a) - int(b)
+	if d < 0 {
+		d = -d
+	}
+	return d
+}
+
 // appendMVs serializes motion vectors as offset bytes (mv+128) appended to
 // dst. The stream is later deflate-compressed with the residuals, so runs
 // of zero vectors cost almost nothing.
-func appendMVs(dst []byte, mvs []mv, prof profile) []byte {
-	if prof.searchRadius == 0 {
-		return dst // zero-motion profiles carry no MV table
-	}
+func appendMVs(dst []byte, mvs []mv) []byte {
 	for _, m := range mvs {
 		dst = append(dst, byte(m.dx+128), byte(m.dy+128))
 	}
 	return dst
 }
 
-// decodeMVs reads the MV table for a plane of the given luma dimensions,
-// returning the vectors and the number of bytes consumed.
-func decodeMVs(stream []byte, lumaW, lumaH int, prof profile) ([]mv, int, error) {
-	bs := prof.blockSize
-	bw := (lumaW + bs - 1) / bs
-	bh := (lumaH + bs - 1) / bs
-	n := bw * bh
-	if prof.searchRadius == 0 {
-		return make([]mv, n), 0, nil
-	}
+// decodeMVs reads the MV table of a P-frame into dst (reusing its backing
+// array), returning the vectors and the number of stream bytes consumed.
+func decodeMVs(dst []mv, stream []byte, lumaW, lumaH int, prof profile) ([]mv, int, error) {
+	n := mvTableLen(lumaW, lumaH, prof)
 	if len(stream) < n*2 {
-		return nil, 0, errTruncated
+		return dst, 0, errTruncated
 	}
-	mvs := make([]mv, n)
-	for i := 0; i < n; i++ {
-		mvs[i] = mv{int(stream[i*2]) - 128, int(stream[i*2+1]) - 128}
+	if cap(dst) < n {
+		dst = make([]mv, n)
 	}
-	return mvs, n * 2, nil
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = mv{int(stream[i*2]) - 128, int(stream[i*2+1]) - 128}
+	}
+	return dst, n * 2, nil
 }

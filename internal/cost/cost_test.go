@@ -1,7 +1,9 @@
 package cost
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/codec"
@@ -146,5 +148,75 @@ func TestCalibrateDefaults(t *testing.T) {
 	}
 	if m.Alpha(codec.Raw, codec.H264, 320*180) <= 0 {
 		t.Error("default calibration produced no usable alpha")
+	}
+}
+
+// TestDefaultOrderMatchesCalibration holds the hand-seeded table to what the
+// codecs actually cost: for every pair of seeded ops, a fresh calibration
+// must order them the way Default does. The planner depends on nothing else
+// about the seeds, so this is the check that a codec speed-up (or slow-down)
+// did not silently invert a planning decision; when it fails, re-seed the
+// entries it names from the logged measurements.
+//
+// What is compared is CPU cost, so the calibration runs on one P: ls fans
+// its frames out across GOMAXPROCS, and its wall time against the serial
+// codecs would otherwise depend on how many cores happen to be idle. Each
+// op's timing is the minimum over the calibrations so far, which sheds
+// scheduler noise; calibration repeats (up to maxRuns) while any pair is
+// still out of order, so a loaded machine costs time, not a failure. A pair
+// measured within tieBand of each other is a tie that either order
+// satisfies — two ops that close cost the planner nothing to confuse.
+func TestDefaultOrderMatchesCalibration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibration timing in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation cost differs by package, which reorders timings")
+	}
+	const (
+		px      = 640 * 360
+		minRuns = 2
+		maxRuns = 8
+		tieBand = 1.25
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	def := Default()
+	ops := def.Ops()
+	measured := make(map[Op]float64)
+	var flipped []string
+	for run := 1; run <= maxRuns; run++ {
+		m, err := Calibrate(nil, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			a := m.Alpha(op.From, op.To, px)
+			if best, ok := measured[op]; !ok || a < best {
+				measured[op] = a
+			}
+		}
+		flipped = flipped[:0]
+		for i, a := range ops {
+			for _, b := range ops[i+1:] {
+				da, db := def.Alpha(a.From, a.To, px), def.Alpha(b.From, b.To, px)
+				ma, mb := measured[a], measured[b]
+				if da == db || ma <= mb*tieBand && mb <= ma*tieBand {
+					continue
+				}
+				if (da < db) != (ma < mb) {
+					flipped = append(flipped, fmt.Sprintf("%s->%s vs %s->%s: seeded %.1f vs %.1f, measured %.1f vs %.1f",
+						a.From, a.To, b.From, b.To, da, db, ma, mb))
+				}
+			}
+		}
+		if run >= minRuns && len(flipped) == 0 {
+			break
+		}
+	}
+	for _, op := range ops {
+		t.Logf("%s->%s: seeded %.1f, measured %.1f ns/pixel", op.From, op.To, def.Alpha(op.From, op.To, px), measured[op])
+	}
+	for _, f := range flipped {
+		t.Errorf("order flipped: %s", f)
 	}
 }

@@ -285,12 +285,14 @@ func (f *Frame) Paste(src *Frame, x0, y0 int) error {
 	return nil
 }
 
+// clampU8 saturates v to a byte. In-range values, nearly all of them, take
+// the single unsigned compare.
 func clampU8(v int) byte {
+	if uint(v) <= 255 {
+		return byte(v)
+	}
 	if v < 0 {
 		return 0
 	}
-	if v > 255 {
-		return 255
-	}
-	return byte(v)
+	return 255
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"testing"
+	"time"
 
 	"repro/vss"
 )
@@ -142,14 +143,23 @@ func TestQueryMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := c.HTTP.Get(c.Base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	// The handler folds a query's counters in after it has written the
+	// response terminator, so the client can be back here first: wait for
+	// both completions to land before reading the rest.
 	var snap MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := c.HTTP.Get(c.Base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Predicate.Completed >= 2 || time.Now().After(deadline) {
+			break
+		}
 	}
 	p := snap.Predicate
 	if p.Queries != 2 || p.Completed != 2 {
