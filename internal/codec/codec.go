@@ -13,17 +13,20 @@
 //     cost c_l real.
 //   - Compression is lossy with a quality dial (quantization step), so the
 //     PSNR-based quality model operates on genuine distortion.
-//   - The two profiles trade compute for ratio the way H.264 and HEVC do:
+//   - The two profiles differ in coding tools the way H.264 and HEVC do:
 //     "h264" uses 8x8 blocks, left-neighbor intra prediction, and
 //     zero-motion inter prediction; "hevc" uses 16x16 blocks, left+top
-//     intra prediction, and diamond motion search, producing smaller
-//     bitstreams at higher encode cost.
+//     intra prediction, and diamond motion search, at higher encode cost.
+//     Motion search leaves hevc fewer non-zero residuals on moving content,
+//     but that does not make its bitstream the smaller one: on the
+//     benchmark's traffic scene an hevc GOP is 1.6-1.7 times the size of an
+//     h264 GOP at the same quality (TestEncodedSizeCeilings pins both).
 //
 // Pixel data is coded in YUV420 (as real codecs do); callers convert to and
 // from their preferred formats with internal/frame. The "raw" codec stores
 // frames losslessly in their original pixel format.
 //
-// # Span kernels and the bitstream freeze
+// # Span kernels, run coding and the pixel freeze
 //
 // The predictive profiles' sample loops are span kernels: a row is walked as
 // runs of blocks sharing one motion vector, the vector is resolved once per
@@ -35,19 +38,31 @@
 // over row slices. See encodeInterPlane, decodeInterPlane and
 // docs/ARCHITECTURE.md.
 //
-// The bitstream is frozen: h264 and hevc GOPs carry no version beyond the
-// v1 container, so every encoded byte and every decoded pixel must stay
-// what earlier builds produced. golden_test.go holds digests of both,
-// captured before the kernels existed, and kernels_test.go property-tests
-// each kernel against the per-sample loops it replaced (reference_test.go).
+// The kernels write one code per sample, most of them zero. Before deflate,
+// each frame's stream is run-coded (runs.go): every run of at least four
+// zero codes folds into one token, and the decoder expands the tokens again
+// before the kernels read the stream. Deflate sees about a half (h264) to a
+// quarter (hevc) of the bytes on the traffic scene, and both profiles use
+// one deflate level. New h264/hevc GOPs carry container v3 for it; v1 GOPs,
+// which stores already hold, decode through the same kernels without the
+// expansion.
+//
+// Decoded pixels are frozen: every pixel must stay what earlier builds
+// decoded, and every GOP an earlier build wrote must still decode.
+// golden_test.go holds digests of decoded frames, captured before the
+// kernels existed, and of this build's encoded bytes; testdata/v1 holds
+// GOPs written before run coding; kernels_test.go property-tests each
+// kernel against the per-sample loops it replaced (reference_test.go), and
+// runs_test.go the fold and expansion against byte-at-a-time references.
 //
 // DecodeRange allocates only the frames it returns. The inflater, the
-// inflated stream, the MV table and the look-back planes come from a pooled
-// scratch held for one call; frames in the requested window are
-// reconstructed directly into the returned frame's Data, which the codec
-// reads as the next frame's reference while the call runs and never touches
-// after it returns. Inflated streams are bounded by what the header's
-// dimensions allow, so a hostile payload costs its own size.
+// inflated stream and its expansion, the MV table and the look-back planes
+// come from a pooled scratch held for one call; frames in the requested
+// window are reconstructed directly into the returned frame's Data, which
+// the codec reads as the next frame's reference while the call runs and
+// never touches after it returns. Inflated and expanded streams are bounded
+// by what the header's dimensions allow, and nothing is sized from the
+// header before the stream has shown a byte per sample.
 package codec
 
 import (
@@ -85,7 +100,6 @@ type profile struct {
 	blockSize    int  // inter-prediction block size
 	searchRadius int  // motion search radius in pixels (0 = zero-MV only)
 	intra2D      bool // average left+top intra prediction (vs left only)
-	flateLevel   int  // entropy-coding effort
 }
 
 // quantizer maps the quality preset to the uniform quantization step.
@@ -147,6 +161,9 @@ type Header struct {
 	// (version-dependent: v2 headers carry a variable-length codec name).
 	// Set by DecodeHeader; framePayloads relies on it.
 	tableOff int
+	// runCoded marks a v3 container: the lossy frame streams have their
+	// zero runs folded into run tokens (see runs.go).
+	runCoded bool
 }
 
 // Stats summarizes an encode for the quality/cost models.
@@ -159,14 +176,20 @@ type Stats struct {
 
 // Container versions. v1 tags the codec with a single byte from the fixed
 // legacy table below; every GOP written before the registry existed is v1,
-// and the three original codecs still write v1 so their bytes are
-// identical to pre-registry builds. v2 tags the codec by name (one length
-// byte + the name), so registered codecs need no entry in any table —
-// that is what makes per-GOP codec tags open-ended.
+// and raw still writes v1 so its bytes are identical to pre-registry
+// builds. v2 tags the codec by name (one length byte + the name), so
+// registered codecs need no entry in any table — that is what makes
+// per-GOP codec tags open-ended. v3 is the v1 layout for an h264 or hevc
+// GOP whose frame streams are run-coded (runs.go); it is the only version
+// those profiles write. It has its own number because byte 254 is a run
+// token in v3 and a residual in v1: a build that predates run coding must
+// reject a v3 GOP rather than misdecode it. v1 h264/hevc GOPs already
+// stored decode as before.
 const (
 	gopMagic      = "VGOP"
 	containerV1   = 1
 	containerV2   = 2
+	containerV3   = 3
 	maxCodecName  = 32      // v2 name length bound (sanity, not a format limit)
 	maxFrameCount = 1 << 20 // implausibility bound on the header frame count
 	// maxDimension is the implausibility bound on the header width and
@@ -204,13 +227,17 @@ func DecodeHeader(data []byte) (Header, error) {
 	}
 	var off int
 	switch data[4] {
-	case containerV1:
+	case containerV1, containerV3:
 		if len(data) < 20 {
-			return hd, fmt.Errorf("codec: truncated v1 header")
+			return hd, fmt.Errorf("codec: truncated v%d header", data[4])
 		}
 		id, ok := legacyCodecFromByte[data[5]]
 		if !ok {
 			return hd, fmt.Errorf("codec: codec byte %d: %w", data[5], ErrUnknownCodec)
+		}
+		hd.runCoded = data[4] == containerV3
+		if hd.runCoded && id == Raw {
+			return hd, fmt.Errorf("codec: raw GOP in a v3 container")
 		}
 		hd.Codec = id
 		off = 6
@@ -286,10 +313,14 @@ func DecodeRange(data []byte, from, to int) ([]*frame.Frame, Header, error) {
 
 // writeContainer assembles the GOP container: header then (type, length,
 // payload) per frame. Codecs with a legacy v1 byte write the v1 layout —
-// byte-identical to pre-registry builds, so existing stored GOPs and new
-// ones stay interchangeable — and everything else gets a v2 name tag.
-func writeContainer(codec ID, pixfmt frame.PixelFormat, quality, w, h int, types []FrameType, payloads [][]byte) []byte {
+// numbered v3 when runCoded says the payloads are run-coded streams — and
+// everything else gets a v2 name tag.
+func writeContainer(codec ID, runCoded bool, pixfmt frame.PixelFormat, quality, w, h int, types []FrameType, payloads [][]byte) []byte {
 	legacy, isLegacy := legacyCodecByte[codec]
+	version := byte(containerV1)
+	if runCoded {
+		version = containerV3
+	}
 	hdrLen := 20
 	if !isLegacy {
 		hdrLen = 6 + len(codec) + 14
@@ -301,7 +332,7 @@ func writeContainer(codec ID, pixfmt frame.PixelFormat, quality, w, h int, types
 	out := make([]byte, 0, total)
 	out = append(out, gopMagic...)
 	if isLegacy {
-		out = append(out, containerV1, legacy)
+		out = append(out, version, legacy)
 	} else {
 		out = append(out, containerV2, byte(len(codec)))
 		out = append(out, codec...)

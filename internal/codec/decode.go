@@ -18,19 +18,20 @@ var (
 )
 
 // decodeScratch is everything a lossy decode needs besides the frames it
-// returns: the inflater, the inflated stream of the frame being decoded,
-// the MV table, the dequantization table, and two plane triples that frames
-// before the requested window (look-back) reconstruct into, alternating.
-// Scratch is pooled across calls and goroutines; nothing in it outlives the
-// DecodeRange call that took it.
+// returns: the inflater, the inflated stream of the frame being decoded and
+// its expansion (v3), the MV table, the dequantization table, and two plane
+// triples that frames before the requested window (look-back) reconstruct
+// into, alternating. Scratch is pooled across calls and goroutines; nothing
+// in it outlives the DecodeRange call that took it.
 type decodeScratch struct {
-	src    bytes.Reader
-	zr     io.ReadCloser // a flate reader; also a flate.Resetter
-	lim    io.LimitedReader
-	stream bytes.Buffer
-	mvs    []mv
-	dq     dequantTab
-	rec    [2][3]plane
+	src      bytes.Reader
+	zr       io.ReadCloser // a flate reader; also a flate.Resetter
+	lim      io.LimitedReader
+	stream   bytes.Buffer
+	expanded []byte // the byte-per-sample form of a run-coded stream
+	mvs      []mv
+	dq       dequantTab
+	rec      [2][3]plane
 }
 
 var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
@@ -56,35 +57,56 @@ func (t *dequantTab) build(q int) {
 func unzigzag(z uint32) int { return int(z>>1) ^ -int(z&1) }
 
 // inflate decompresses one frame payload into the scratch stream buffer and
-// returns a reader over it. The stream of a valid frame holds its MV table
-// and at most maxCodeLen bytes per sample, so limit bounds what a hostile
-// payload can make the decoder allocate: a payload still producing bytes at
-// the limit is rejected, not read to its end. The buffer grows with the bytes
-// actually produced, never to the dimensions a header merely claims.
-//
-// The returned buffer extends slack bytes past the stream's true end. The row
-// kernels read their input unchecked up to maxCodeLen bytes per sample (plus
-// one word) ahead of the last position known to be valid; the slack keeps
-// such reads inside the slice, and advance detects the overrun afterwards.
-// What the slack holds is irrelevant: a decode that reads it fails.
-func (s *decodeScratch) inflate(payload []byte, limit, slack int) (streamReader, error) {
+// returns it. The stream of a valid frame holds its MV table and at most
+// maxCodeLen bytes per sample, and run coding only shortens it, so limit
+// bounds what a hostile payload can make the decoder allocate: a payload
+// still producing bytes at the limit is rejected, not read to its end. The
+// buffer grows with the bytes actually produced, never to the dimensions a
+// header merely claims.
+func (s *decodeScratch) inflate(payload []byte, limit int) ([]byte, error) {
 	s.src.Reset(payload)
 	if s.zr == nil {
 		s.zr = flate.NewReader(&s.src)
 	} else if err := s.zr.(flate.Resetter).Reset(&s.src, nil); err != nil {
-		return streamReader{}, err
+		return nil, err
 	}
 	s.lim = io.LimitedReader{R: s.zr, N: int64(limit) + 1}
 	s.stream.Reset()
 	if _, err := s.stream.ReadFrom(&s.lim); err != nil {
+		return nil, err
+	}
+	if s.stream.Len() > limit {
+		return nil, errOversized
+	}
+	return s.stream.Bytes(), nil
+}
+
+// residuals returns a reader over one frame's byte-per-sample stream:
+// inflated, and for a v3 container expanded (runs.go) under the same limit.
+// head is the length of the P-frame MV table, which run coding leaves as it
+// is.
+//
+// The reader's buffer extends slack bytes past the stream's true end. The
+// row kernels read their input unchecked up to maxCodeLen bytes per sample
+// (plus one word) ahead of the last position known to be valid; the slack
+// keeps such reads inside the slice, and advance detects the overrun
+// afterwards. What the slack holds is irrelevant: a decode that reads it
+// fails.
+func (s *decodeScratch) residuals(payload []byte, runCoded bool, head, limit, slack int) (streamReader, error) {
+	stream, err := s.inflate(payload, limit)
+	if err != nil {
 		return streamReader{}, err
 	}
-	n := s.stream.Len()
-	if n > limit {
-		return streamReader{}, errOversized
+	if runCoded {
+		if stream, err = expandRuns(s.expanded, stream, head, limit, slack); err != nil {
+			return streamReader{}, err
+		}
+		s.expanded = stream
+	} else {
+		s.stream.Grow(slack)
+		stream = s.stream.Bytes()
 	}
-	s.stream.Grow(slack)
-	return streamReader{buf: s.stream.Bytes()[:n+slack], end: n}, nil
+	return streamReader{buf: stream[:len(stream)+slack], end: len(stream)}, nil
 }
 
 // DecodeRange reconstructs frames [from, to). Every frame from the GOP
@@ -125,7 +147,7 @@ func (c lossyCodec) DecodeRange(data []byte, hd Header, from, to int) ([]*frame.
 		if isP {
 			mvBytes = 2 * mvTableLen(w, h, prof)
 		}
-		rd, err := sc.inflate(payloads[i], mvBytes+maxCodeLen*samples, slack)
+		rd, err := sc.residuals(payloads[i], hd.runCoded, mvBytes, mvBytes+maxCodeLen*samples, slack)
 		if err != nil {
 			return nil, fmt.Errorf("codec: frame %d entropy decode: %w", i, err)
 		}

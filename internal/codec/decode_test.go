@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -11,17 +12,17 @@ import (
 	"repro/internal/frame"
 )
 
-// deflatedZeros returns the raw-deflate compression of n zero bytes.
-func deflatedZeros(t testing.TB, n int) []byte {
+// deflateRepeat returns the raw-deflate compression of unit repeated n
+// times, without holding the repetition in memory.
+func deflateRepeat(t testing.TB, unit []byte, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw, err := flate.NewWriter(&buf, flate.BestCompression)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk := make([]byte, 1<<20)
-	for ; n > 0; n -= len(chunk) {
-		if _, err := zw.Write(chunk[:min(n, len(chunk))]); err != nil {
+	for ; n > 0; n-- {
+		if _, err := zw.Write(unit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -29,6 +30,16 @@ func deflatedZeros(t testing.TB, n int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// zeroIFrame16 returns the payload of a valid 16x16 I-frame whose every
+// residual is zero, in the v1 or the run-coded (v3) stream format.
+func zeroIFrame16(t testing.TB, runCoded bool) []byte {
+	stream := make([]byte, 16*16+2*8*8)
+	if runCoded {
+		stream = foldRuns(nil, stream, 0)
+	}
+	return deflateRepeat(t, stream, 1)
 }
 
 // allocatedBy returns the heap bytes fn allocated.
@@ -46,37 +57,34 @@ func allocatedBy(fn func()) uint64 {
 // on the way in. A 16x16 frame whose 64 KB payload inflates to 64 MB used
 // to be read to its end by io.ReadAll on whichever node decoded it first;
 // it must now fail as soon as it outgrows what 16x16 allows, having
-// allocated next to nothing.
+// allocated next to nothing — in either container version.
 func TestInflateBombRejected(t *testing.T) {
-	bomb := deflatedZeros(t, 64<<20)
-	for _, id := range []ID{H264, HEVC} {
-		for _, types := range [][]FrameType{{IFrame}, {IFrame, PFrame}} {
-			payloads := make([][]byte, len(types))
-			for i := range payloads {
-				payloads[i] = bomb
-			}
-			if len(types) == 2 {
-				// A valid I-frame first, so the bomb is met on the P path.
-				valid, _, err := EncodeGOP([]*frame.Frame{frame.New(16, 16, frame.YUV420)}, id, 85)
-				if err != nil {
-					t.Fatal(err)
+	bomb := deflateRepeat(t, make([]byte, 1<<20), 64)
+	for _, runCoded := range []bool{false, true} {
+		for _, id := range []ID{H264, HEVC} {
+			for _, types := range [][]FrameType{{IFrame}, {IFrame, PFrame}} {
+				payloads := make([][]byte, len(types))
+				for i := range payloads {
+					payloads[i] = bomb
 				}
-				hd, _ := DecodeHeader(valid)
-				ps, _ := framePayloads(valid, hd)
-				payloads[0] = ps[0]
-			}
-			gop := writeContainer(id, frame.YUV420, 85, 16, 16, types, payloads)
-			var err error
-			start := time.Now()
-			allocated := allocatedBy(func() { _, _, err = DecodeGOP(gop) })
-			if !errors.Is(err, errOversized) {
-				t.Errorf("%s %v: err = %v, want the oversized-stream error", id, types, err)
-			}
-			if allocated > 1<<20 {
-				t.Errorf("%s %v: rejecting the bomb allocated %d bytes", id, types, allocated)
-			}
-			if d := time.Since(start); d > 2*time.Second {
-				t.Errorf("%s %v: rejecting the bomb took %v", id, types, d)
+				if len(types) == 2 {
+					// A valid I-frame first, so the bomb is met on the P path.
+					payloads[0] = zeroIFrame16(t, runCoded)
+				}
+				gop := writeContainer(id, runCoded, frame.YUV420, 85, 16, 16, types, payloads)
+				var err error
+				start := time.Now()
+				allocated := allocatedBy(func() { _, _, err = DecodeGOP(gop) })
+				name := fmt.Sprintf("%s %v run-coded=%v", id, types, runCoded)
+				if !errors.Is(err, errOversized) {
+					t.Errorf("%s: err = %v, want the oversized-stream error", name, err)
+				}
+				if allocated > 1<<20 {
+					t.Errorf("%s: rejecting the bomb allocated %d bytes", name, allocated)
+				}
+				if d := time.Since(start); d > 2*time.Second {
+					t.Errorf("%s: rejecting the bomb took %v", name, d)
+				}
 			}
 		}
 	}
@@ -93,7 +101,7 @@ func TestHugeHeaderDimensionsRejected(t *testing.T) {
 	hd, _ := DecodeHeader(small)
 	payloads, _ := framePayloads(small, hd)
 	for _, dim := range [][2]int{{maxDimension, maxDimension}, {maxDimension + 2, 16}, {0, 16}, {16, 15}} {
-		gop := writeContainer(H264, frame.YUV420, 85, dim[0], dim[1], hd.FrameTypes, payloads)
+		gop := writeContainer(H264, hd.runCoded, frame.YUV420, 85, dim[0], dim[1], hd.FrameTypes, payloads)
 		var err error
 		allocated := allocatedBy(func() { _, _, err = DecodeGOP(gop) })
 		if err == nil {
@@ -116,7 +124,12 @@ func TestDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool retains nothing under the race detector")
 	}
-	frames := benchGOP()
+	// One P, as testing.AllocsPerRun uses: sync.Pool keeps a Put object in
+	// the putting P's private slot, which a Get on another P never sees, so
+	// a test goroutine that migrates between Ps is charged a whole new
+	// scratch however long the pool has been warm.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	frames := benchGOP(480, 272)
 	frameBytes := uint64(len(frames[0].Convert(frame.YUV420).Data))
 	const allowance = 48 << 10
 	for _, id := range []ID{H264, HEVC} {

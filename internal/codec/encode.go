@@ -178,8 +178,8 @@ type lossyCodec struct {
 }
 
 func init() {
-	Register(lossyCodec{H264, profile{blockSize: 8, searchRadius: 0, intra2D: false, flateLevel: 4}})
-	Register(lossyCodec{HEVC, profile{blockSize: 16, searchRadius: 3, intra2D: true, flateLevel: 6}})
+	Register(lossyCodec{H264, profile{blockSize: 8, searchRadius: 0, intra2D: false}})
+	Register(lossyCodec{HEVC, profile{blockSize: 16, searchRadius: 3, intra2D: true}})
 }
 
 func (c lossyCodec) Name() ID { return c.id }
@@ -191,18 +191,18 @@ func (c lossyCodec) Lossless(quality int) bool { return false }
 
 // lossyScratch is the per-Encoder scratch of the predictive profiles: the
 // deflate compressor (by far the largest allocation), the per-frame
-// residual/MV stream, the deflate output buffer, ping-pong reconstruction
-// planes, the motion vector table, a YUV conversion frame, and the
-// quantizer table.
+// residual/MV stream and its run-coded form, the deflate output buffer,
+// ping-pong reconstruction planes, the motion vector table, a YUV
+// conversion frame, and the quantizer table.
 type lossyScratch struct {
-	zw      *flate.Writer
-	zwLevel int
-	stream  []byte       // per-frame MV+residual stream
-	comp    bytes.Buffer // per-frame deflate output
-	rec     [2][3]plane  // ping-pong reconstructed frames (decoder mirror)
-	mvs     []mv         // per-frame motion vector table
-	yuv     *frame.Frame // pixel format conversion scratch
-	qt      quantTab     // residual quantization lookup
+	zw     *flate.Writer
+	stream []byte       // per-frame MV+residual stream, one code per sample
+	folded []byte       // stream with its zero runs folded (runs.go)
+	comp   bytes.Buffer // per-frame deflate output
+	rec    [2][3]plane  // ping-pong reconstructed frames (decoder mirror)
+	mvs    []mv         // per-frame motion vector table
+	yuv    *frame.Frame // pixel format conversion scratch
+	qt     quantTab     // residual quantization lookup
 }
 
 // quantTab tabulates, for every residual r in [-255, 255], the zigzag code
@@ -257,16 +257,21 @@ func roomFor(dst []byte, n int) []byte {
 	return grown
 }
 
+// flateLevel is the deflate effort of both profiles. On run-coded streams
+// of the traffic scene, level 6 is 4-7% smaller than level 4 for two to
+// four times the deflate time, and inflates no faster.
+const flateLevel = 4
+
 // deflate compresses one frame's stream into a fresh exactly-sized payload,
 // reusing the scratch compressor and output buffer.
-func (s *lossyScratch) deflate(stream []byte, level int) ([]byte, error) {
+func (s *lossyScratch) deflate(stream []byte) ([]byte, error) {
 	s.comp.Reset()
-	if s.zw == nil || s.zwLevel != level {
-		zw, err := flate.NewWriter(&s.comp, level)
+	if s.zw == nil {
+		zw, err := flate.NewWriter(&s.comp, flateLevel)
 		if err != nil {
 			return nil, fmt.Errorf("codec: %w", err)
 		}
-		s.zw, s.zwLevel = zw, level
+		s.zw = zw
 	} else {
 		s.zw.Reset(&s.comp)
 	}
@@ -328,6 +333,7 @@ func (c lossyCodec) encode(e *Encoder, frames []*frame.Frame, quality int, captu
 		cur := &sc.rec[i&1]
 		sizePlanes(cur, w, h)
 		stream := sc.stream[:0]
+		mvEnd := 0 // the MV table's bytes at the head of the stream
 		if i == 0 {
 			types[i] = IFrame
 			st.IFrames++
@@ -341,6 +347,7 @@ func (c lossyCodec) encode(e *Encoder, frames []*frame.Frame, quality int, captu
 			// Motion vectors are estimated on luma and halved for chroma.
 			sc.mvs = estimateMotion(sc.mvs, planes[0], prev[0], prof)
 			stream = appendMVs(stream, sc.mvs)
+			mvEnd = len(stream)
 			for p := 0; p < 3; p++ {
 				bs := prof.blockSize
 				scale := 1
@@ -352,7 +359,8 @@ func (c lossyCodec) encode(e *Encoder, frames []*frame.Frame, quality int, captu
 			}
 		}
 		sc.stream = stream // keep the grown buffer for the next frame
-		payload, err := sc.deflate(stream, prof.flateLevel)
+		sc.folded = foldRuns(sc.folded, stream, mvEnd)
+		payload, err := sc.deflate(sc.folded)
 		if err != nil {
 			return nil, nil, st, err
 		}
@@ -366,7 +374,7 @@ func (c lossyCodec) encode(e *Encoder, frames []*frame.Frame, quality int, captu
 		}
 	}
 
-	data := writeContainer(c.id, frame.YUV420, quality, w, h, types, payloads)
+	data := writeContainer(c.id, true, frame.YUV420, quality, w, h, types, payloads)
 	st.Bytes = len(data)
 	st.BitsPerPixel = float64(len(data)) * 8 / float64(w*h*len(frames))
 	return data, recon, st, nil

@@ -11,7 +11,9 @@ import (
 // the validated position (inside a padded buffer) and take motion vectors
 // and dimensions from the input, so the property is memory safety and
 // boundedness: any input returns an error or well-formed frames, never a
-// panic, and never an allocation the input's own size does not justify.
+// panic, and never an allocation beyond what the header's dimensions allow.
+// The seeds cover every codec as this build writes it (h264/hevc in v3) and
+// the v1 h264/hevc GOPs earlier builds wrote (testdata/v1).
 func FuzzDecodeGOP(f *testing.F) {
 	rgb := testScene(3, 24, 16, 61)
 	yuv := make([]*frame.Frame, len(rgb))
@@ -33,16 +35,20 @@ func FuzzDecodeGOP(f *testing.F) {
 		f.Add(data, 0, -1)
 		f.Add(data, 1, 2)
 	}
+	for _, fx := range readV1Fixtures(f) {
+		f.Add(fx.data, 0, -1)
+		f.Add(fx.data, 1, 2)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, from, to int) {
 		hd, err := DecodeHeader(data)
 		if err != nil {
 			return
 		}
-		// ls codes long runs in a few bits, so a small ls payload may
-		// legitimately describe a large frame; keep the fuzzer's memory for
-		// inputs that can find something.
-		if hd.Codec == LS && hd.Width*hd.Height > 1<<16 {
-			t.Skip("large ls frame")
+		// ls and run-coded streams code long runs in a few bytes, so a small
+		// payload may legitimately describe a large frame; keep the
+		// fuzzer's memory for inputs that can find something.
+		if (hd.Codec == LS || hd.runCoded) && hd.Width*hd.Height > 1<<16 {
+			t.Skip("large run-coded frame")
 		}
 		frames, _, err := DecodeRange(data, from, to)
 		if err != nil {

@@ -220,7 +220,7 @@ func (lsCodec) EncodeGOP(e *Encoder, frames []*frame.Frame, quality int) ([]byte
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	data := writeContainer(LS, f0.Format, quality, f0.Width, f0.Height, types, payloads)
+	data := writeContainer(LS, false, f0.Format, quality, f0.Width, f0.Height, types, payloads)
 	st.Bytes = len(data)
 	st.BitsPerPixel = float64(len(data)) * 8 / float64(f0.Width*f0.Height*len(frames))
 	return data, st, nil

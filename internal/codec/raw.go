@@ -25,7 +25,7 @@ func (rawCodec) EncodeGOP(e *Encoder, frames []*frame.Frame, quality int) ([]byt
 		types[i] = IFrame
 		payloads[i] = f.Data
 	}
-	data := writeContainer(Raw, f0.Format, 100, f0.Width, f0.Height, types, payloads)
+	data := writeContainer(Raw, false, f0.Format, 100, f0.Width, f0.Height, types, payloads)
 	st := Stats{Bytes: len(data), IFrames: len(frames)}
 	st.BitsPerPixel = float64(len(data)) * 8 / float64(f0.Width*f0.Height*len(frames))
 	return data, st, nil

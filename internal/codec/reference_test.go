@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"io"
 
@@ -182,9 +183,69 @@ func refBlockSAD(cur, ref plane, x0, y0, bs, dx, dy, limit int) int {
 	return sum
 }
 
+// refFoldRuns is the byte-at-a-time run coding of a frame stream whose
+// first head bytes are its MV table (see runs.go).
+func refFoldRuns(stream []byte, head int) []byte {
+	out := append([]byte(nil), stream[:head]...)
+	for i := head; i < len(stream); {
+		switch b := stream[i]; b {
+		case 0:
+			j := i
+			for j < len(stream) && stream[j] == 0 {
+				j++
+			}
+			if j-i >= minRun {
+				out = binary.AppendUvarint(append(out, runToken), uint64(j-i-minRun))
+			} else {
+				out = append(out, stream[i:j]...)
+			}
+			i = j
+		case runToken:
+			out = append(out, escToken, runToken, 0)
+			i++
+		case escToken:
+			out = append(out, stream[i:min(i+3, len(stream))]...)
+			i += 3
+		default:
+			out = append(out, b)
+			i++
+		}
+	}
+	return out
+}
+
+// refExpandRuns undoes refFoldRuns a byte at a time, with no bound on what a
+// token may claim: callers feed it streams whose tokens are small.
+func refExpandRuns(src []byte, head int) ([]byte, error) {
+	head = min(head, len(src))
+	out := append([]byte(nil), src[:head]...)
+	for i := head; i < len(src); {
+		switch src[i] {
+		case runToken:
+			v, n := binary.Uvarint(src[i+1:])
+			if n <= 0 {
+				return nil, errTruncated
+			}
+			out = append(out, make([]byte, v+minRun)...)
+			i += 1 + n
+		case escToken:
+			if i+3 > len(src) {
+				return nil, errTruncated
+			}
+			out = append(out, src[i:i+3]...)
+			i += 3
+		default:
+			out = append(out, src[i])
+			i++
+		}
+	}
+	return out, nil
+}
+
 // refDecodeGOP is the pre-kernel lossy decoder assembled from the loops
 // above: unbounded inflate, a fresh plane per frame, a zero MV table for the
-// zero-motion profile. It is what a store's earlier builds decoded with.
+// zero-motion profile. It is what a store's earlier builds decoded v1 GOPs
+// with; a v3 GOP's streams are expanded by refExpandRuns first.
 func refDecodeGOP(data []byte) ([]*frame.Frame, error) {
 	hd, err := DecodeHeader(data)
 	if err != nil {
@@ -210,6 +271,17 @@ func refDecodeGOP(data []byte) ([]*frame.Frame, error) {
 		if err != nil {
 			return nil, err
 		}
+		bw, bh := (w+prof.blockSize-1)/prof.blockSize, (h+prof.blockSize-1)/prof.blockSize
+		mvs := make([]mv, bw*bh)
+		if hd.runCoded {
+			head := 0
+			if hd.FrameTypes[i] != IFrame && prof.searchRadius > 0 {
+				head = 2 * len(mvs)
+			}
+			if stream, err = refExpandRuns(stream, head); err != nil {
+				return nil, err
+			}
+		}
 		rd := &refResidReader{data: stream}
 		var next [3]plane
 		if hd.FrameTypes[i] == IFrame {
@@ -222,8 +294,6 @@ func refDecodeGOP(data []byte) ([]*frame.Frame, error) {
 			if i == 0 {
 				return nil, errors.New("GOP begins with P-frame")
 			}
-			bw, bh := (w+prof.blockSize-1)/prof.blockSize, (h+prof.blockSize-1)/prof.blockSize
-			mvs := make([]mv, bw*bh)
 			if prof.searchRadius > 0 {
 				if len(stream) < 2*len(mvs) {
 					return nil, errTruncated

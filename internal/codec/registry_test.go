@@ -125,22 +125,33 @@ func TestUnknownCodecTag(t *testing.T) {
 	}
 }
 
-// TestV1ContainerBackwardCompat pins the bytes pre-registry stores wrote:
-// the three original codecs still emit the v1 single-byte tag layout
-// (byte-identical containers), and a hand-assembled v1 container decodes.
+// TestV1ContainerBackwardCompat pins the container versions this build
+// writes: raw keeps the v1 single-byte tag layout of pre-registry stores,
+// h264 and hevc write v3 — the v1 layout under its own version byte, since
+// their streams are run-coded — and a hand-assembled v1 container decodes.
+// (testdata/v1 holds h264/hevc GOPs in v1; TestV1FixturesDecode reads them.)
 func TestV1ContainerBackwardCompat(t *testing.T) {
 	frames := yuvScene(3, 32, 16, 5)
-	for _, id := range []ID{Raw, H264, HEVC} {
+	for id, version := range map[ID]byte{Raw: containerV1, H264: containerV3, HEVC: containerV3} {
 		data, _, err := EncodeGOP(frames, id, 90)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if data[4] != containerV1 {
-			t.Errorf("%s: container version = %d, want v1 (pre-registry layout)", id, data[4])
+		if data[4] != version {
+			t.Errorf("%s: container version = %d, want %d", id, data[4], version)
 		}
 		if data[5] != legacyCodecByte[id] {
 			t.Errorf("%s: legacy byte = %d, want %d", id, data[5], legacyCodecByte[id])
 		}
+	}
+	// No build writes a raw GOP run-coded, so a v3 raw tag is corrupt.
+	raw, _, err := EncodeGOP(frames, Raw, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[4] = containerV3
+	if _, err := DecodeHeader(raw); err == nil {
+		t.Error("raw GOP under a v3 header accepted")
 	}
 
 	// A v1 raw container assembled by hand (the untagged on-disk format
@@ -151,7 +162,7 @@ func TestV1ContainerBackwardCompat(t *testing.T) {
 		payloads[i] = f.Data
 		types[i] = IFrame
 	}
-	data := writeContainer(Raw, frames[0].Format, 100, frames[0].Width, frames[0].Height, types, payloads)
+	data := writeContainer(Raw, false, frames[0].Format, 100, frames[0].Width, frames[0].Height, types, payloads)
 	dec, hd, err := DecodeGOP(data)
 	if err != nil {
 		t.Fatal(err)

@@ -56,10 +56,11 @@ type Model struct {
 // table to the order a fresh Calibrate measures; an entry is re-seeded when
 // a codec change flips it (the span kernels dropped the two predictive
 // decodes from above ls decode to below it, and h264 encode and re-encode
-// from above the ls round trip to below it).
+// from above the ls round trip to below it; run coding cut hevc encode to
+// a third, dropping raw->hevc below the hevc->h264 transcode).
 var defaultAlphas = map[Op]float64{
 	{codec.Raw, codec.H264}:  22,
-	{codec.Raw, codec.HEVC}:  65,
+	{codec.Raw, codec.HEVC}:  44,
 	{codec.H264, codec.Raw}:  7,
 	{codec.HEVC, codec.Raw}:  8,
 	{codec.H264, codec.H264}: 28,
