@@ -76,13 +76,13 @@ func (s *Store) admitLocked(vs *videoState, job *readJob, fragIDs []int, parentM
 		Height:  r.roiH,
 		FPS:     r.outFPS,
 		Codec:   r.codec,
+		PixFmt:  r.format,
 		Quality: r.quality,
 		ROI:     r.roi,
 		Start:   r.t1,
 		MSE:     mse,
 	}
 	if r.codec.Compressed() {
-		p.PixFmt = frame.YUV420
 		framesSoFar := 0
 		for _, data := range encoded {
 			hd, err := codec.DecodeHeader(data)
@@ -101,30 +101,12 @@ func (s *Store) admitLocked(vs *videoState, job *readJob, fragIDs []int, parentM
 		s.maybeSampleQuality(job.sampleRef, job.sampleGOP, mbpp)
 	} else {
 		// Raw views are cached in the requested pixel layout so identical
-		// future reads are pure IO. Phase B already produced the frames in
-		// that layout (job.outConv, index-aligned with outFrames) — reuse
-		// them rather than re-converting under the video lock.
-		outFmt := frame.PixelFormat(r.pixfmt)
-		p.PixFmt = outFmt
-		conv := job.outConv
-		gopN := rawGOPFrames(s.opts.RawBlockBytes, outFmt, r.roiW, r.roiH, s.opts.GOPFrames)
+		// future reads are pure IO; phase B already produced the frames in
+		// that layout.
+		gopN := rawGOPFrames(s.opts.RawBlockBytes, r.format, r.roiW, r.roiH, s.opts.GOPFrames)
 		for i := 0; i < len(frames); i += gopN {
-			j := i + gopN
-			if j > len(frames) {
-				j = len(frames)
-			}
-			chunk := make([]*frame.Frame, j-i)
-			for k := i; k < j; k++ {
-				switch {
-				case k < len(conv):
-					chunk[k-i] = conv[k]
-				case frames[k].Format == outFmt:
-					chunk[k-i] = frames[k]
-				default:
-					chunk[k-i] = frames[k].Convert(outFmt)
-				}
-			}
-			data, _, err := codec.EncodeGOP(chunk, codec.Raw, 0)
+			j := min(i+gopN, len(frames))
+			data, _, err := codec.EncodeGOP(frames[i:j], codec.Raw, 0)
 			if err != nil {
 				return false, err
 			}

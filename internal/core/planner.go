@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/cost"
+	"repro/internal/frame"
 	"repro/internal/quality"
 	"repro/internal/smt"
 )
@@ -21,8 +22,8 @@ type resolvedSpec struct {
 	codec   codec.ID
 	quality int
 	minPSNR float64
-	pixfmt  int // frame.PixelFormat, widened to avoid import cycles in tests
-	roiW    int // output pixel dimensions of the ROI
+	format  frame.PixelFormat // pixel format of every output frame
+	roiW    int               // output pixel dimensions of the ROI
 	roiH    int
 }
 
@@ -116,7 +117,17 @@ func (s *Store) resolve(v *VideoMeta, spec ReadSpec) (resolvedSpec, error) {
 	if r.minPSNR == 0 {
 		r.minPSNR = s.opts.MinPSNR
 	}
-	r.pixfmt = int(spec.P.Format)
+	// Frames leave the read in one format: YUV420 for every compressed
+	// codec (what the encoders take and what admission records), the
+	// requested layout for raw output. Its chroma subsampling bounds the
+	// sizes the read can produce.
+	r.format = spec.P.Format
+	if r.codec.Compressed() {
+		r.format = frame.YUV420
+	}
+	if err := r.format.Validate(r.roiW, r.roiH); err != nil {
+		return r, fmt.Errorf("%w: %s output: %v", ErrInvalidSpec, r.codec, err)
+	}
 	return r, nil
 }
 

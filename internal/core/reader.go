@@ -263,8 +263,7 @@ type readJob struct {
 	bytesRead atomic.Int64 // stored bytes fetched by phase B
 
 	// Phase B outputs.
-	outFrames []*frame.Frame // raw path: RGB frames at ROI resolution
-	outConv   []*frame.Frame // raw path: frames in the requested layout
+	outFrames []*frame.Frame // raw path: frames in the output format
 	outGOPs   [][]byte       // compressed path
 	sampleRef []*frame.Frame // compressed path: source frames of sampleGOP
 	sampleGOP []byte         // compressed path: one re-encoded GOP for PSNR sampling
@@ -390,7 +389,7 @@ func (s *Store) readOnce(ctx context.Context, video string, spec ReadSpec, eager
 	if r.codec.Compressed() {
 		out.GOPs = job.outGOPs
 	} else {
-		out.Frames = job.outConv
+		out.Frames = job.outFrames
 	}
 
 	// Phase C: admission and maintenance against the video's current
@@ -931,33 +930,12 @@ func (s *Store) executeJob(ctx context.Context, job *readJob) error {
 	}
 
 	if !job.r.codec.Compressed() {
-		return s.assembleRaw(ctx, job, converted)
-	}
-	return s.assembleCompressed(ctx, job, converted)
-}
-
-// assembleRaw joins converted frames in order and produces the output in
-// the requested pixel layout (conversion parallelized per frame).
-func (s *Store) assembleRaw(ctx context.Context, job *readJob, converted [][]*frame.Frame) error {
-	var frames []*frame.Frame
-	for si := range converted {
-		frames = append(frames, converted[si]...)
-	}
-	job.outFrames = frames
-	outFmt := frame.PixelFormat(job.r.pixfmt)
-	conv := make([]*frame.Frame, len(frames))
-	if err := s.runJobs(ctx, len(frames), func(i int) error {
-		if frames[i].Format == outFmt {
-			conv[i] = frames[i]
-		} else {
-			conv[i] = frames[i].Convert(outFmt)
+		for _, frames := range converted {
+			job.outFrames = append(job.outFrames, frames...)
 		}
 		return nil
-	}); err != nil {
-		return err
 	}
-	job.outConv = conv
-	return nil
+	return s.assembleCompressed(ctx, job, converted)
 }
 
 // assembleCompressed interleaves passthrough bitstreams with re-encoded
@@ -1047,13 +1025,11 @@ func gopContaining(p *PhysMeta, local int) *GOPMeta {
 }
 
 // convertFrame maps a decoded source frame into the requested output
-// space: RGB conversion, ROI crop, and resolution resampling. Pure
+// space: ROI crop and resolution resampling in the frame's own format (a
+// planar crop passes through RGB), then one conversion to the read's output
+// format. For raw output the result never shares Data with src. Pure
 // function — safe on the worker pool.
 func convertFrame(src *frame.Frame, p physSnap, r resolvedSpec) (*frame.Frame, error) {
-	rgb := src
-	if src.Format != frame.RGB {
-		rgb = src.Convert(frame.RGB)
-	}
 	// Map the requested normalized ROI into p's pixel space (p may itself
 	// be an ROI view of the source frame).
 	pw, ph := float64(p.width), float64(p.height)
@@ -1071,18 +1047,23 @@ func convertFrame(src *frame.Frame, p physSnap, r resolvedSpec) (*frame.Frame, e
 	if crop.Dy() < 1 {
 		crop.Y1 = crop.Y0 + 1
 	}
-	cropped := rgb
+	f := src
 	if crop != frame.FullRect(p.width, p.height) {
 		var err error
-		cropped, err = rgb.Crop(crop)
-		if err != nil {
+		if f, err = src.Crop(crop); err != nil {
 			return nil, err
 		}
 	}
-	if cropped.Width != r.roiW || cropped.Height != r.roiH {
-		cropped = cropped.Resize(r.roiW, r.roiH)
+	if f.Width != r.roiW || f.Height != r.roiH {
+		f = f.Resize(r.roiW, r.roiH)
 	}
-	return cropped, nil
+	// An encoder only reads its input, so compressed output may encode the
+	// decoded frame itself; raw output goes to the caller, and every frame
+	// gets pixels of its own.
+	if f.Format != r.format || (f == src && !r.codec.Compressed()) {
+		f = f.Convert(r.format) // a copy when the format already matches
+	}
+	return f, nil
 }
 
 // estimateStepMSE estimates the quality loss introduced by this read's
@@ -1101,19 +1082,4 @@ func (s *Store) estimateStepMSE(r resolvedSpec, mbpp float64) float64 {
 		step = est
 	}
 	return step
-}
-
-// resampleMSE measures the round-trip error of the resolution change from
-// src (a source-resolution RGB frame) to the output resolution.
-func resampleMSE(src *frame.Frame, outW, outH int) float64 {
-	if src.Width == outW && src.Height == outH {
-		return 0
-	}
-	down := src.Resize(outW, outH)
-	back := down.Resize(src.Width, src.Height)
-	m, err := quality.MSE(src, back)
-	if err != nil {
-		return 0
-	}
-	return m
 }

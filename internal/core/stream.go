@@ -49,7 +49,7 @@ import (
 //     decode work to overlap with, and keeping them consistent under the
 //     lock preserves the byte-identical stream/batch contract.
 //   - Output bytes are identical to Read: units are chunked exactly the
-//     way assembleRaw/assembleCompressed chunk, and conversion/encoding
+//     way executeJob/assembleCompressed chunk, and conversion/encoding
 //     goes through the same pure functions.
 
 // ReadBatch is one in-order unit of a streaming read's output: a run of
@@ -339,7 +339,7 @@ func (st *ReadStream) produce(u *streamUnit) (*ReadBatch, error) {
 		frames = append(frames, f)
 	}
 
-	var batch *ReadBatch
+	batch := &ReadBatch{Frames: frames}
 	if st.r.codec.Compressed() {
 		start := time.Now()
 		data, _, err := codec.EncodeGOP(frames, st.r.codec, st.r.quality)
@@ -348,17 +348,6 @@ func (st *ReadStream) produce(u *streamUnit) (*ReadBatch, error) {
 			return nil, err
 		}
 		batch = &ReadBatch{GOP: data}
-	} else {
-		outFmt := frame.PixelFormat(st.r.pixfmt)
-		conv := make([]*frame.Frame, len(frames))
-		for i, f := range frames {
-			if f.Format == outFmt {
-				conv[i] = f
-			} else {
-				conv[i] = f.Convert(outFmt)
-			}
-		}
-		batch = &ReadBatch{Frames: conv}
 	}
 	// Release decoded source frames once the last unit that needs them has
 	// been produced, keeping streaming memory bounded.

@@ -98,7 +98,11 @@ type Physical struct {
 	// Codec selects the output compression; codec.Raw returns decoded
 	// frames.
 	Codec codec.ID
-	// Format is the pixel layout for raw output (default YUV420).
+	// Format is the pixel layout for raw output; the zero value is
+	// frame.RGB. Compressed output is always encoded from YUV420. The
+	// output size must fit the layout's chroma subsampling: an even width
+	// for YUV422, an even width and height for YUV420 and for every
+	// compressed codec. Other sizes are ErrInvalidSpec.
 	Format frame.PixelFormat
 	// Quality is the encode quality preset for compressed output
 	// (1..100; 0 means codec.DefaultQuality).

@@ -1,6 +1,7 @@
 package frame_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/frame"
@@ -30,5 +31,24 @@ func BenchmarkConvert(b *testing.B) {
 				dst = c.src.ConvertInto(dst, c.to)
 			}
 		})
+	}
+}
+
+// BenchmarkResize times the read path's downscales at the benchmark
+// harness's frame size: RGB for frames a raw RGB view holds, YUV420 for
+// decoded h264/hevc frames, which resample plane by plane.
+func BenchmarkResize(b *testing.B) {
+	world := visualroad.NewWorld(visualroad.Config{Width: 480, Height: 272, FPS: 8, Seed: 1})
+	rgb := world.LeftFrame(0)
+	for _, src := range []*frame.Frame{rgb, rgb.Convert(frame.YUV420)} {
+		for _, to := range [][2]int{{240, 136}, {120, 68}} {
+			b.Run(fmt.Sprintf("%v/%dx%d", src.Format, to[0], to[1]), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(src.Data)))
+				for b.Loop() {
+					src.Resize(to[0], to[1])
+				}
+			})
+		}
 	}
 }

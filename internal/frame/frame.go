@@ -140,16 +140,22 @@ func (f *Frame) Clone() *Frame {
 // scales transcode cost by this quantity (|f| in c_t = α·|f|).
 func (f *Frame) Pixels() int { return f.Width * f.Height }
 
+// chromaDims returns the dimensions of each chroma plane of a w x h frame
+// in a planar format.
+func (f PixelFormat) chromaDims(w, h int) (cw, ch int) {
+	if f == YUV420 {
+		return w / 2, h / 2
+	}
+	return w / 2, h
+}
+
 // planes returns the byte offsets of the Y/U/V planes for planar formats.
 func (f *Frame) planes() (y, u, v []byte) {
 	switch f.Format {
-	case YUV420:
+	case YUV420, YUV422:
 		ySize := f.Width * f.Height
-		cSize := (f.Width / 2) * (f.Height / 2)
-		return f.Data[:ySize], f.Data[ySize : ySize+cSize], f.Data[ySize+cSize : ySize+2*cSize]
-	case YUV422:
-		ySize := f.Width * f.Height
-		cSize := (f.Width / 2) * f.Height
+		cw, ch := f.Format.chromaDims(f.Width, f.Height)
+		cSize := cw * ch
 		return f.Data[:ySize], f.Data[ySize : ySize+cSize], f.Data[ySize+cSize : ySize+2*cSize]
 	case Gray:
 		return f.Data, nil, nil

@@ -308,6 +308,27 @@ func TestResizeConstantStaysConstant(t *testing.T) {
 			t.Fatalf("resize of constant frame produced %d at %d", g.Data[i], i)
 		}
 	}
+
+	// A constant YUV420 frame (a different value per plane) stays constant
+	// in every plane, shrinking and growing.
+	yuv := New(32, 18, YUV420)
+	y, u, v := yuv.planes()
+	for p, plane := range [][]byte{y, u, v} {
+		for i := range plane {
+			plane[i] = byte(40 + 70*p)
+		}
+	}
+	for _, dim := range [][2]int{{10, 6}, {64, 40}} {
+		g := yuv.Resize(dim[0], dim[1])
+		gy, gu, gv := g.planes()
+		for p, plane := range [][]byte{gy, gu, gv} {
+			for i, b := range plane {
+				if b != byte(40+70*p) {
+					t.Fatalf("yuv420 %dx%d: plane %d is %d at %d, want %d", dim[0], dim[1], p, b, i, 40+70*p)
+				}
+			}
+		}
+	}
 }
 
 func TestResizeDownUpIsClose(t *testing.T) {
@@ -333,16 +354,29 @@ func TestResizePlanarPreservesFormat(t *testing.T) {
 }
 
 func TestResizePropertyDimensions(t *testing.T) {
-	// Property: output dimensions always match the request for RGB/Gray.
-	prop := func(w8, h8, tw8, th8 uint8) bool {
-		w, h := int(w8%30)+1, int(h8%30)+1
-		tw, th := int(tw8%30)+1, int(th8%30)+1
-		f := New(w, h, Gray)
-		g := f.Resize(tw, th)
-		return g.Width == tw && g.Height == th && len(g.Data) == tw*th
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	// Property: output dimensions always match the request, in every
+	// format. A planar frame keeps its format when the target fits it and
+	// comes back as RGB when it does not (odd targets).
+	for _, format := range []PixelFormat{RGB, YUV420, YUV422, Gray} {
+		prop := func(w8, h8, tw8, th8 uint8) bool {
+			w, h := int(w8%30)+2, int(h8%30)+2
+			if format == YUV420 || format == YUV422 {
+				w &^= 1
+			}
+			if format == YUV420 {
+				h &^= 1
+			}
+			tw, th := int(tw8%30)+1, int(th8%30)+1
+			g := New(w, h, format).Resize(tw, th)
+			want := format
+			if format.Validate(tw, th) != nil {
+				want = RGB
+			}
+			return g.Width == tw && g.Height == th && g.Format == want && len(g.Data) == want.Size(tw, th)
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%v: %v", format, err)
+		}
 	}
 }
 

@@ -538,7 +538,9 @@ func TestBadRequests(t *testing.T) {
 	// Spec mistakes — whether caught at parse time or by the store's
 	// resolve — are the client's fault and must map to 400, not 500 (and
 	// must not count as server read errors).
-	for _, q := range []string{"start=bogus", "roi=1,2,3", "format=h264", "codec=mp5", "start=5&end=3", "width=-4"} {
+	// Sizes the output's pixel format cannot hold are spec mistakes too.
+	for _, q := range []string{"start=bogus", "roi=1,2,3", "format=h264", "codec=mp5", "start=5&end=3", "width=-4",
+		"format=yuv420&width=33&height=25", "format=yuv422&width=33&height=24", "codec=h264&width=33&height=25"} {
 		if _, _, err := c.ReadAll(ctx, "cam", q); err == nil || !strings.Contains(err.Error(), "400") {
 			t.Errorf("read with %q: %v, want 400", q, err)
 		}
