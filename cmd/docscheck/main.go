@@ -7,16 +7,11 @@
 //
 // Usage:
 //
-//	docscheck [-root DIR] [-bench-readme FILE] PATH...
+//	docscheck [-root DIR] PATH...
 //
 // PATHs are Markdown files or directories (walked for *.md). Exit
 // status 1 means at least one problem; each is printed as
 // file:line: message.
-//
-// -bench-readme FILE additionally requires FILE to mention every
-// BENCH_PR*.json snapshot present under the root, so the results table
-// cannot silently fall behind the benchmark history (each PR commits a
-// new snapshot; the table must grow with them).
 package main
 
 import (
@@ -32,7 +27,6 @@ import (
 
 func main() {
 	root := flag.String("root", ".", "repository root that absolute-style links resolve against")
-	benchReadme := flag.String("bench-readme", "", "require this file to mention every BENCH_PR*.json under the root")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: docscheck [-root DIR] FILE_OR_DIR...")
@@ -63,12 +57,6 @@ func main() {
 	problems := 0
 	for _, f := range files {
 		for _, p := range checkFile(f, *root) {
-			fmt.Println(p)
-			problems++
-		}
-	}
-	if *benchReadme != "" {
-		for _, p := range checkBenchCoverage(*benchReadme, *root) {
 			fmt.Println(p)
 			problems++
 		}
@@ -200,29 +188,6 @@ func checkGoBlock(body string) string {
 		return "go block is not gofmt-clean"
 	}
 	return ""
-}
-
-// checkBenchCoverage requires the given file to mention every
-// BENCH_PR*.json benchmark snapshot committed under root, by basename.
-// A snapshot missing from the results document means a PR landed
-// benchmarks nobody can see.
-func checkBenchCoverage(readme, root string) []string {
-	snaps, err := filepath.Glob(filepath.Join(root, "BENCH_PR*.json"))
-	if err != nil {
-		return []string{fmt.Sprintf("%s: globbing benchmark snapshots: %v", readme, err)}
-	}
-	data, err := os.ReadFile(readme)
-	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", readme, err)}
-	}
-	var problems []string
-	for _, s := range snaps {
-		if !strings.Contains(string(data), filepath.Base(s)) {
-			problems = append(problems, fmt.Sprintf(
-				"%s: benchmark snapshot %s is not mentioned (results table out of date?)", readme, filepath.Base(s)))
-		}
-	}
-	return problems
 }
 
 // linkRE matches [text](target); images (![...](...)) match too via the

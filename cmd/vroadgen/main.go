@@ -1,5 +1,5 @@
 // Vroadgen generates the synthetic evaluation datasets (Table 1 of the
-// paper, scaled — see DESIGN.md) and writes them into a VSS store, either
+// paper, scaled — see internal/datasets) and writes them into a VSS store, either
 // as a single stream or as an overlapping camera pair for joint
 // compression experiments.
 //

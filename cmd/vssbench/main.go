@@ -1,7 +1,7 @@
 // Vssbench regenerates the tables and figures of the paper's evaluation
 // (Section 6). Each experiment prints rows in the shape the paper
-// reports; see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// recorded paper-vs-measured results.
+// reports; docs/ARCHITECTURE.md maps each paper section to its code.
+// Single draws that gate nothing: benchmark/ is what changes answer to.
 //
 // Usage:
 //

@@ -4,14 +4,14 @@
 // The public API lives in repro/vss; the storage manager in
 // internal/core; substrates (codec, vision, clustering, solver, catalog,
 // storage, indexes, cost and quality models) under internal/. See
-// README.md for the system overview, quickstart, and benchmark results;
+// README.md for the system overview, quickstart, and benchmark;
 // docs/ARCHITECTURE.md for the paper-section → package map and the
 // locking/pipeline invariants; docs/WIRE.md for the normative wire
 // protocol (video plane and GOP storage plane); docs/CLUSTER.md for
 // running a multi-node fleet; docs/METRICS.md for the vssd /metrics
-// reference; and examples/README.md for the example index. bench_test.go
-// wraps every evaluation experiment in a testing.B harness; cmd/vssbench
-// runs them standalone.
+// reference; and examples/README.md for the example index. cmd/vssbench
+// runs the paper's evaluation experiments; benchmark/ holds the workloads
+// a change is measured against.
 //
 // # Concurrency
 //
@@ -116,7 +116,5 @@
 // shard IO with decode for both batch and streaming reads; a prefetched
 // GOP that changed identity mid-flight (evicted, jointly compressed,
 // lossless-recompressed) is detected per GOP and re-snapshotted under
-// the video lock. The io bench experiment measures cold reads across
-// backends with and without prefetch; see examples/sharded for a
-// multi-root walkthrough.
+// the video lock. See examples/sharded for a multi-root walkthrough.
 package repro

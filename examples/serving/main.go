@@ -119,8 +119,8 @@ func main() {
 	// 5. Live metrics: read counts, cache hit rate, admission gauges, and
 	// the response-path section — flush coalescing, buffer-pool hit rate,
 	// and time-to-first-byte quantiles (docs/METRICS.md documents every
-	// field). The `streams` bench experiment (`go run ./cmd/vssbench -exp
-	// streams`) drives this same path with hundreds of concurrent readers.
+	// field). The `serve_hot` workload in benchmark/ drives this same path
+	// with Poisson arrivals over many keep-alive connections.
 	m, err := c.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)

@@ -2,13 +2,14 @@
 // experiment per table and figure, each printing rows in the shape the
 // paper reports. Absolute numbers differ from the paper's GPU testbed —
 // the substrate here is a pure-Go codec on one CPU, and dataset sizes are
-// scaled (see DESIGN.md) — but each experiment reproduces the paper's
-// comparison: who wins, roughly by how much, and where the crossovers
-// fall.
+// scaled (resolutions 1K=240x136, 2K=480x272, 4K=960x544, frame counts
+// x0.002; see internal/datasets) — but each experiment reproduces the
+// paper's comparison: who wins, roughly by how much, and where the
+// crossovers fall.
 //
 // Run everything with `go run ./cmd/vssbench -exp all`, or a single
-// experiment with `-exp fig10`; `go test -bench .` at the repository root
-// wraps the same runners in testing.B harnesses.
+// experiment with `-exp fig10`. The numbers are single draws and gate
+// nothing; benchmark/ is what a change is measured against.
 package bench
 
 import (
@@ -16,7 +17,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/codec"
@@ -53,14 +53,6 @@ func Experiments() []Experiment {
 		{"fig19", "Joint compression overhead by resolution and camera dynamicism", Fig19},
 		{"fig20", "Read throughput of deferred-compressed fragments by level", Fig20},
 		{"fig21", "End-to-end application performance by client count", Fig21},
-		{"codec", "Lossless tier: ls codec vs flate blocks (encode/decode MB/s and ratio)", CodecExp},
-		{"ingest", "Pipelined ingest: single-stream write throughput by encode workers", Ingest},
-		{"serve", "Serving: HTTP streaming read throughput by concurrent clients", ServeExp},
-		{"streams", "Streams: concurrent stream readers through admission control", StreamsExp},
-		{"io", "Cold reads by storage backend (localfs/sharded/mem, prefetch on/off)", IOExp},
-		{"degraded", "Replicated reads with a wiped shard root (healthy vs failover vs scrubbed)", DegradedExp},
-		{"cluster", "Routed reads over a vssd node fleet with one node killed (failover + journal repair)", ClusterExp},
-		{"predicate", "Predicate reads: planner pruning vs full scan + client-side filter by selectivity", PredicateExp},
 	}
 }
 
@@ -120,7 +112,8 @@ func writeBenchVideo(dir string, opts core.Options) (*core.Store, error) {
 // randomReadSpec draws the random read parameters the paper uses to
 // populate the cache: random interval, resolution, and physical format.
 // Intervals are snapped to whole seconds — the GOP grid — so cached views
-// compose; see EXPERIMENTS.md for the discussion of this scaling choice.
+// compose; the snapping is this scaled reproduction's choice, not the
+// paper's.
 func randomReadSpec(rng *rand.Rand, duration float64) core.ReadSpec {
 	t1 := float64(rng.Intn(int(duration) - 2))
 	t2 := t1 + 1 + float64(rng.Intn(4))
@@ -208,16 +201,6 @@ func datasetFrames(d datasets.Dataset, cap int) int {
 		n = cap
 	}
 	return n
-}
-
-// sortedKeys returns map keys in stable order for deterministic output.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // header prints a section header.

@@ -8,14 +8,11 @@ import (
 )
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	// Every table and figure of the paper's evaluation must be present,
-	// plus the repository's own system experiments (codec, ingest,
-	// serve, streams, io, degraded, cluster, predicate).
+	// Every table and figure of the paper's evaluation, in paper order,
+	// and nothing else.
 	want := []string{
 		"table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"fig16", "table2", "fig17", "fig18", "fig19", "fig20", "fig21",
-		"codec", "ingest", "serve", "streams", "io", "degraded", "cluster",
-		"predicate",
 	}
 	exps := Experiments()
 	if len(exps) != len(want) {
@@ -41,8 +38,7 @@ func TestByName(t *testing.T) {
 }
 
 // TestFastExperimentsProduceRows smoke-runs the sub-second experiments end
-// to end; the heavyweight ones are exercised by the root bench_test.go
-// harness and cmd/vssbench.
+// to end; the heavyweight ones run through cmd/vssbench.
 func TestFastExperimentsProduceRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests in -short mode")

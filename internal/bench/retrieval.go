@@ -162,7 +162,7 @@ func Fig12(w io.Writer) error {
 	}
 	// Short reads are snapped to whole seconds (the GOP grid): the scaled
 	// reproduction issues segment-oriented probes, as per-segment
-	// analytics (e.g. license-plate detection) do. See EXPERIMENTS.md.
+	// analytics (e.g. license-plate detection) do.
 	shortSpec := func(rng *rand.Rand) core.ReadSpec {
 		spec := randomReadSpec(rng, benchSeconds)
 		spec.T.Start = float64(int(spec.T.Start))

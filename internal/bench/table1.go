@@ -10,7 +10,7 @@ import (
 
 // Table1 regenerates the paper's Table 1: the evaluation datasets with
 // their resolutions, frame counts, and compressed sizes. Resolutions and
-// frame counts are the scaled working values documented in DESIGN.md; the
+// frame counts are the scaled working values defined in internal/datasets; the
 // compressed size is measured by actually encoding each dataset with the
 // h264 profile, mirroring how the paper reports on-disk size.
 func Table1(w io.Writer) error {

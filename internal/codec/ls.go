@@ -16,9 +16,8 @@ import (
 // plane is coded sample-by-sample with the MED predictor (median edge
 // detector over the left/top/top-left neighbors), a run mode that covers
 // flat regions in a handful of bits, and Golomb-Rice residual coding —
-// no flate anywhere on the path, which is what buys the >=2x encode and
-// decode throughput over the flate-based lossless tier that the `codec`
-// bench experiment pins.
+// no flate anywhere on the path, which is what buys its encode and decode
+// throughput over the flate-based lossless tier it replaced.
 //
 // The Rice parameter adapts backward per row rather than per sample:
 // both sides derive row y's k from the residual magnitudes they already

@@ -81,30 +81,19 @@ func TestShardedBackendEndToEnd(t *testing.T) {
 }
 
 // TestPrefetchDisabledEquivalence pins the IO-prefetch stage to the
-// eager baseline: the same store read with and without prefetch must
-// produce byte-identical output (frames and encoded GOPs), and both
-// must report the same stored bytes touched.
+// eager under-lock snapshot ReadContext retries with on a dangling
+// reference: both attempts must produce byte-identical output (frames
+// and encoded GOPs) and report the same stored bytes touched.
 func TestPrefetchDisabledEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	seed, err := Open(dir, Options{GOPFrames: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeVideo(t, seed, "v", scene(24, 64, 48, 82), 4, codec.H264)
-	if err := seed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	readBoth := func(disable bool) (*ReadResult, *ReadResult) {
-		s, err := Open(dir, Options{GOPFrames: 8, DisableCache: true, DisablePrefetch: disable})
+	s := newStore(t, Options{DisableCache: true})
+	writeVideo(t, s, "v", scene(24, 64, 48, 82), 4, codec.H264)
+	readBoth := func(eager bool) (*ReadResult, *ReadResult) {
+		ctx := context.Background()
+		raw, err := s.readOnce(ctx, "v", ReadSpec{}, eager)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		raw, err := s.Read("v", ReadSpec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := s.Read("v", ReadSpec{P: Physical{Codec: codec.HEVC}})
+		enc, err := s.readOnce(ctx, "v", ReadSpec{P: Physical{Codec: codec.HEVC}}, eager)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -403,54 +404,74 @@ func TestReadStreamWhereParity(t *testing.T) {
 
 // TestReadWherePruning verifies the planner actually skips GOPs whose
 // summary bounds refute the predicate — the point of the subsystem — and
-// that pruning is exact on a burst-structured video: only burst GOPs are
-// decoded.
+// that pruning is exact on burst-structured videos: only burst GOPs are
+// decoded, and a window over vehicle-free GOPs decodes and reads nothing.
+// The spread cases put 1, 2 and 5 active one-second GOPs out of 20 at
+// stride 20/k starting at stride/2 (5%, 10% and 25% selectivity), so a
+// win cannot come from one lucky contiguous range.
 func TestReadWherePruning(t *testing.T) {
-	const n, fps, gop = 64, 8, 8
-	bursts := [][2]int{{16, 24}} // exactly one of eight GOPs has vehicles
-	s := newStore(t, Options{GOPFrames: gop, DisableCache: true})
-	writeVideo(t, s, "v", burstScene(n, 64, 48, bursts), fps, codec.H264)
-
+	const fps, gop = 8, 8
+	cases := []struct {
+		name   string
+		gops   int
+		active []int      // GOP indices holding vehicles
+		empty  [2]float64 // a window (seconds) over vehicle-free GOPs only
+	}{
+		{"burst", 8, []int{2}, [2]float64{4, 6}},
+		{"spread1of20", 20, []int{10}, [2]float64{0, 10}},
+		{"spread2of20", 20, []int{5, 15}, [2]float64{6, 15}},
+		{"spread5of20", 20, []int{2, 6, 10, 14, 18}, [2]float64{3, 6}},
+	}
 	pred, err := ParsePredicate("count >= 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ReadWhere("v", pred, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Stats
-	if st.GOPsConsidered != 8 {
-		t.Fatalf("considered %d GOPs, want 8", st.GOPsConsidered)
-	}
-	if st.GOPsSkipped != 7 {
-		t.Errorf("skipped %d GOPs, want 7 (summaries: %+v)", st.GOPsSkipped, st)
-	}
-	if st.GOPsDecoded != 1 {
-		t.Errorf("decoded %d GOPs, want 1", st.GOPsDecoded)
-	}
-	if st.FramesScanned != gop {
-		t.Errorf("scanned %d frames, want %d", st.FramesScanned, gop)
-	}
-	if len(res.Matches) != 8 {
-		t.Errorf("%d matches, want 8", len(res.Matches))
-	}
-	for _, m := range res.Matches {
-		if m.Index < 16 || m.Index >= 24 {
-			t.Errorf("match at frame %d outside the burst", m.Index)
-		}
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var bursts [][2]int
+			for _, g := range tc.active {
+				bursts = append(bursts, [2]int{g * gop, (g + 1) * gop})
+			}
+			s := newStore(t, Options{GOPFrames: gop, DisableCache: true})
+			writeVideo(t, s, "v", burstScene(tc.gops*gop, 64, 48, bursts), fps, codec.H264)
 
-	// A time window over vehicle-free GOPs prunes everything: zero decodes.
-	res, err = s.ReadWhere("v", pred, 4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.GOPsDecoded != 0 || len(res.Matches) != 0 {
-		t.Errorf("windowed query decoded %d GOPs, matched %d", res.Stats.GOPsDecoded, len(res.Matches))
-	}
-	if res.Stats.BytesRead != 0 {
-		t.Errorf("pruned-out query read %d bytes", res.Stats.BytesRead)
+			res, err := s.ReadWhere("v", pred, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, k := res.Stats, len(tc.active)
+			if st.GOPsConsidered != tc.gops {
+				t.Fatalf("considered %d GOPs, want %d", st.GOPsConsidered, tc.gops)
+			}
+			if st.GOPsDecoded != k {
+				t.Errorf("decoded %d GOPs, want %d", st.GOPsDecoded, k)
+			}
+			if st.GOPsSkipped != tc.gops-k {
+				t.Errorf("skipped %d GOPs, want %d (summaries: %+v)", st.GOPsSkipped, tc.gops-k, st)
+			}
+			if st.FramesScanned != k*gop {
+				t.Errorf("scanned %d frames, want %d", st.FramesScanned, k*gop)
+			}
+			if len(res.Matches) != k*gop {
+				t.Errorf("%d matches, want %d", len(res.Matches), k*gop)
+			}
+			for _, m := range res.Matches {
+				if !slices.Contains(tc.active, m.Index/gop) {
+					t.Errorf("match at frame %d outside every burst", m.Index)
+				}
+			}
+
+			res, err = s.ReadWhere("v", pred, tc.empty[0], tc.empty[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.GOPsDecoded != 0 || len(res.Matches) != 0 {
+				t.Errorf("windowed query decoded %d GOPs, matched %d", res.Stats.GOPsDecoded, len(res.Matches))
+			}
+			if res.Stats.BytesRead != 0 {
+				t.Errorf("pruned-out query read %d bytes", res.Stats.BytesRead)
+			}
+		})
 	}
 }
 

@@ -146,8 +146,8 @@ func (s *Store) ReadWhereContext(ctx context.Context, video string, pred Predica
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-	out, err := s.readWhereOnce(ctx, video, pred, t0, t1, s.opts.DisablePrefetch)
-	if errors.Is(err, errDanglingRef) && !s.opts.DisablePrefetch {
+	out, err := s.readWhereOnce(ctx, video, pred, t0, t1, false)
+	if errors.Is(err, errDanglingRef) {
 		// Same race as ReadContext: a planned GOP moved between phase A
 		// and its fetch; the eager under-lock snapshot is immune.
 		return s.readWhereOnce(ctx, video, pred, t0, t1, true)
@@ -358,7 +358,7 @@ func (s *Store) ReadStreamWhere(ctx context.Context, video string, pred Predicat
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-	job, err := s.prepareQuery(ctx, video, pred, t0, t1, s.opts.DisablePrefetch)
+	job, err := s.prepareQuery(ctx, video, pred, t0, t1, false)
 	if err != nil {
 		return nil, err
 	}

@@ -41,8 +41,8 @@ import (
 // lossless-recompress a planned GOP. The prefetch stage detects this
 // per GOP (the file is gone, or its size no longer matches the metadata
 // snapshot) and falls back to re-snapshotting that one GOP under the
-// lock, where metadata is authoritative; Options.DisablePrefetch
-// restores the fully-eager phase A. Passthrough GOPs (stored bitstreams
+// lock, where metadata is authoritative (an evicted GOP makes batch
+// reads retry once, eagerly). Passthrough GOPs (stored bitstreams
 // emitted as-is, no decode) are still snapshotted eagerly in phase A:
 // they have no compute to overlap with, and keeping them consistent
 // under the lock preserves the byte-identical stream/batch contract.
@@ -341,8 +341,8 @@ func (s *Store) ReadContext(ctx context.Context, video string, spec ReadSpec) (*
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-	out, err := s.readOnce(ctx, video, spec, s.opts.DisablePrefetch)
-	if errors.Is(err, errDanglingRef) && !s.opts.DisablePrefetch {
+	out, err := s.readOnce(ctx, video, spec, false)
+	if errors.Is(err, errDanglingRef) {
 		// The prefetch stage lost a race the eager design could not lose:
 		// a planned GOP was evicted (and is not merely rewritten) between
 		// phase A and its fetch. The video itself is intact — a fresh

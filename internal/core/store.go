@@ -79,12 +79,6 @@ type Options struct {
 	// the backend copy. Pointless (and off by default) when the backend
 	// lives under <dir> anyway.
 	SnapshotCatalog bool
-	// DisablePrefetch reverts GOP fetch to the synchronous under-lock
-	// snapshot of the pre-prefetch read path: stored bytes are read in
-	// phase A while the video lock is held instead of on the asynchronous
-	// IO-prefetch stage that overlaps backend reads with decode. Exists
-	// for the io benchmark's baseline and for debugging.
-	DisablePrefetch bool
 	// StreamAdmitBytes bounds the encoded output a compressed streaming
 	// read may buffer for cache admission. A stream whose output fits
 	// admits it as a materialized view on clean EOF — exactly as a batch
@@ -148,8 +142,8 @@ func (o Options) withDefaults() Options {
 		// The paper aborts below 24 dB; its own Table 2 reports
 		// recovered-right quality of exactly 24 dB on high-overlap data.
 		// Our synthetic warps land ~1 dB lower in the same regime, so the
-		// default bound scales to 22 to keep those pairs admissible (see
-		// EXPERIMENTS.md).
+		// default bound scales to 22 to keep those pairs admissible (the
+		// table2 experiment reports the recovered quality).
 		o.JointMinPSNR = 22
 	}
 	if o.QualitySampleEvery == 0 {

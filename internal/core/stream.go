@@ -160,7 +160,7 @@ func (s *Store) ReadStream(ctx context.Context, video string, spec ReadSpec) (*R
 	err := s.withVideos([]string{video}, func(held map[string]*videoState) error {
 		var err error
 		vsA = held[video]
-		out, job, fragIDs, parentMSE, err = s.prepareRead(ctx, held, held[video], spec, s.opts.DisablePrefetch)
+		out, job, fragIDs, parentMSE, err = s.prepareRead(ctx, held, held[video], spec, false)
 		return err
 	})
 	obs.Observe(ctx, s.pipe, obs.StagePlan, time.Since(planStart))
