@@ -57,9 +57,9 @@
 // full ReadResult (passthrough bytes are still snapshotted up front; see
 // internal/core/stream.go for the exact contract). context.Context is plumbed through both ReadStream and
 // ReadContext, so a cancelled read stops decoding at the next GOP
-// boundary (first-error-wins checks in the worker loops). Streamed bytes
-// are identical to what Read returns; the trade is that streaming reads
-// never cache-admit their result.
+// boundary. Streamed bytes are identical to what Read returns, because
+// Read is a drain of the same stream; the trade is that raw streaming
+// reads never cache-admit their result.
 //
 // Second, the vssd daemon (cmd/vssd, internal/server): HTTP endpoints for
 // create/delete/stat/ls, GOP-level encoded writes, and streaming reads

@@ -87,17 +87,24 @@ func TestShardedBackendEndToEnd(t *testing.T) {
 func TestPrefetchDisabledEquivalence(t *testing.T) {
 	s := newStore(t, Options{DisableCache: true})
 	writeVideo(t, s, "v", scene(24, 64, 48, 82), 4, codec.H264)
+	drain := func(spec ReadSpec, eager bool) *ReadResult {
+		st, err := s.openReadStream(context.Background(), "v", spec, eager, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		res := &ReadResult{}
+		for _, b := range collect(t, st) {
+			res.Frames = append(res.Frames, b.Frames...)
+			if b.GOP != nil {
+				res.GOPs = append(res.GOPs, b.GOP)
+			}
+		}
+		res.Stats = st.Stats()
+		return res
+	}
 	readBoth := func(eager bool) (*ReadResult, *ReadResult) {
-		ctx := context.Background()
-		raw, err := s.readOnce(ctx, "v", ReadSpec{}, eager)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := s.readOnce(ctx, "v", ReadSpec{P: Physical{Codec: codec.HEVC}}, eager)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw, enc
+		return drain(ReadSpec{}, eager), drain(ReadSpec{P: Physical{Codec: codec.HEVC}}, eager)
 	}
 	rawPre, encPre := readBoth(false)
 	rawEager, encEager := readBoth(true)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/frame"
@@ -17,8 +16,7 @@ import (
 // This file implements predicate reads (ReadWhere / ReadStreamWhere):
 // the analytics read mode that answers "frames matching P over [t0,t1)"
 // from the temporal index and the per-GOP feature summaries, decoding
-// only candidate GOPs through the same prefetch → decode pipeline batch
-// and streaming reads use.
+// only candidate GOPs on the same unit executor every read runs on.
 //
 // The plan is three steps, the first two free at query time:
 //
@@ -29,12 +27,13 @@ import (
 //     entirely — it is never fetched or decoded. Summaries are sound
 //     over-approximations (see summary.go), so skipping never loses a
 //     match; GOPs without a summary are decoded conservatively.
-//  3. Surviving GOPs flow through the standard phase-B machinery
-//     (prefetch window, CPU-pool decode, stale-fetch repair); the exact
-//     predicate is applied per frame and matches are returned as RGB
-//     frames — byte-identical to a full raw RGB read of the same video
-//     filtered client-side with AnalyzeFrames, which the parity suite
-//     pins.
+//  3. Each surviving GOP is one unit of the phase-B executor (prefetch
+//     window, CPU-pool decode, stale-fetch repair, in-order delivery);
+//     in place of convert, the exact predicate is applied per frame and
+//     matches are returned as RGB frames — byte-identical to a full raw
+//     RGB read of the same video filtered client-side with
+//     AnalyzeFrames, which the parity suite pins. ReadWhere drains the
+//     stream ReadStreamWhere returns.
 //
 // Predicate reads always scan the original physical view: summaries are
 // computed from the original's reconstructed frames, and evaluating
@@ -99,9 +98,6 @@ type queryUnit struct {
 	// Phase-B outputs.
 	matches []Match
 	scanned int
-	err     error
-	done    chan struct{} // streaming: closed when the unit is produced
-	snap    gopSnap       // batch: resolved in the prepare hook
 }
 
 // queryJob carries one predicate read from phase A to phase B.
@@ -109,7 +105,7 @@ type queryJob struct {
 	width, height, fps int
 	units              []*queryUnit
 	fetches            []*gopFetch
-	bytesRead          atomic.Int64
+	ctr                readCounters
 	stats              QueryStats // planning-time counters
 }
 
@@ -140,67 +136,34 @@ func (s *Store) ReadWhere(video string, pred Predicate, t0, t1 float64) (*QueryR
 // ReadWhereContext is ReadWhere with cancellation (the same promptness
 // contract as ReadContext: workers stop between GOP-granular tasks).
 func (s *Store) ReadWhereContext(ctx context.Context, video string, pred Predicate, t0, t1 float64) (*QueryResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := context.Cause(ctx); err != nil {
-		return nil, err
-	}
-	out, err := s.readWhereOnce(ctx, video, pred, t0, t1, false)
+	out, err := s.queryOnce(ctx, video, pred, t0, t1, false)
 	if errors.Is(err, errDanglingRef) {
 		// Same race as ReadContext: a planned GOP moved between phase A
 		// and its fetch; the eager under-lock snapshot is immune.
-		return s.readWhereOnce(ctx, video, pred, t0, t1, true)
+		return s.queryOnce(ctx, video, pred, t0, t1, true)
 	}
 	return out, err
 }
 
-func (s *Store) readWhereOnce(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*QueryResult, error) {
-	job, err := s.prepareQuery(ctx, video, pred, t0, t1, eager)
+// queryOnce runs one predicate read attempt by draining its stream.
+func (s *Store) queryOnce(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*QueryResult, error) {
+	st, err := s.openQueryStream(ctx, video, pred, t0, t1, eager)
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase B: prefetch + decode + exact evaluation, no locks held.
-	dctx := ctx
-	if len(job.fetches) > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		s.startPrefetch(dctx, job.fetches)
+	defer st.Close()
+	out := &QueryResult{Width: st.Width, Height: st.Height, FPS: st.FPS}
+	for {
+		b, err := st.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		out.Matches = append(out.Matches, b.Matches...)
 	}
-	units := job.units
-	if err := s.runJobsPrepared(dctx, len(units),
-		func(i int) error {
-			var err error
-			units[i].snap, err = units[i].job.resolve(dctx, s)
-			return err
-		},
-		func(i int) error {
-			u := units[i]
-			start := time.Now()
-			err := u.job.decodeResolved(dctx, u.snap, s)
-			obs.ObserveCodec(ctx, s.pipe, obs.StageDecode, string(u.job.codecID), time.Since(start))
-			if err != nil {
-				return err
-			}
-			u.scan(pred, job.fps)
-			return nil
-		},
-	); err != nil {
-		return nil, err
-	}
-
-	out := &QueryResult{Width: job.width, Height: job.height, FPS: job.fps, Stats: job.stats}
-	for _, u := range units {
-		out.Stats.GOPsDecoded += u.job.decoded
-		out.Stats.FramesScanned += u.scanned
-		out.Matches = append(out.Matches, u.matches...)
-	}
-	out.Stats.FramesMatched = len(out.Matches)
-	// Eager snapshots record bytes in the planning stats; prefetched and
-	// re-snapshotted reads record them in the shared atomic. Sum both.
-	out.Stats.BytesRead += job.bytesRead.Load()
+	out.Stats = st.Stats()
 	return out, nil
 }
 
@@ -250,7 +213,7 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 			return err
 		}
 
-		c := &snapCollector{ctx: ctx, stats: &ReadStats{}, eager: eager, bytes: &job.bytesRead}
+		c := &snapCollector{ctx: ctx, stats: &ReadStats{}, eager: eager, ctr: &job.ctr}
 		for _, sp := range idx.Covering(t0, end) {
 			g := findGOP(orig, sp.Seq)
 			if g == nil {
@@ -278,16 +241,13 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 				return err
 			}
 			dj := &decodeJob{
-				snap:  snap,
-				key:   jobKey{video: video, phys: orig.ID, seq: g.Seq, from: 0, to: -1},
-				bytes: &job.bytesRead,
-				from:  0,
-				to:    -1,
+				snap: snap,
+				key:  jobKey{video: video, phys: orig.ID, seq: g.Seq, from: 0, to: -1},
+				ctr:  &job.ctr,
+				from: 0,
+				to:   -1,
 			}
-			job.units = append(job.units, &queryUnit{
-				job: dj, start: g.StartFrame, lo: lo, hi: hi,
-				done: make(chan struct{}),
-			})
+			job.units = append(job.units, &queryUnit{job: dj, start: g.StartFrame, lo: lo, hi: hi})
 		}
 		job.stats.BytesRead = c.stats.BytesRead
 		job.fetches = c.fetches
@@ -335,16 +295,9 @@ type QueryStream struct {
 	// from (frames are RGB at source resolution).
 	Width, Height, FPS int
 
-	s      *Store
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	pred   Predicate
-	job    *queryJob
-	next   int
-	claim  atomic.Int64
-	ahead  chan struct{}
-	stats  QueryStats
-	err    error
+	job   *queryJob
+	exec  *unitExec
+	stats QueryStats
 }
 
 // ReadStreamWhere opens a streaming predicate read over [t0, t1) (t1 <=
@@ -352,126 +305,57 @@ type QueryStream struct {
 // io.EOF or closed. Planning, pruning, and decode mechanics match
 // ReadWhere exactly; only delivery differs.
 func (s *Store) ReadStreamWhere(ctx context.Context, video string, pred Predicate, t0, t1 float64) (*QueryStream, error) {
+	return s.openQueryStream(ctx, video, pred, t0, t1, false)
+}
+
+// openQueryStream runs phase A and starts the executor with one unit per
+// candidate GOP: decode it, then evaluate the predicate on its frames.
+func (s *Store) openQueryStream(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*QueryStream, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-	job, err := s.prepareQuery(ctx, video, pred, t0, t1, false)
+	job, err := s.prepareQuery(ctx, video, pred, t0, t1, eager)
 	if err != nil {
 		return nil, err
 	}
-	sctx, cancel := context.WithCancelCause(ctx)
-	st := &QueryStream{
-		Width: job.width, Height: job.height, FPS: job.fps,
-		s: s, ctx: sctx, cancel: cancel, pred: pred, job: job,
-		stats: job.stats,
-		ahead: make(chan struct{}, 2*s.opts.Workers),
-	}
-	s.startPrefetch(sctx, job.fetches)
-	workers := s.opts.Workers
-	if workers > len(job.units) {
-		workers = len(job.units)
-	}
-	for w := 0; w < workers; w++ {
-		go st.worker()
-	}
+	st := &QueryStream{Width: job.width, Height: job.height, FPS: job.fps, job: job, stats: job.stats}
+	st.exec = s.startUnits(ctx, len(job.units), job.fetches, func(ctx context.Context, i int) error {
+		u := job.units[i]
+		if err := u.job.run(ctx, s); err != nil {
+			return err
+		}
+		u.scan(pred, job.fps)
+		return nil
+	})
 	return st, nil
-}
-
-// worker claims units in order and produces them until the stream is
-// exhausted, cancelled, or a unit fails.
-func (st *QueryStream) worker() {
-	for {
-		i := int(st.claim.Add(1)) - 1
-		if i >= len(st.job.units) {
-			return
-		}
-		u := st.job.units[i]
-		u.err = st.produce(u)
-		close(u.done)
-		if u.err != nil {
-			st.cancel(u.err)
-			return
-		}
-	}
-}
-
-// produce decodes and scans one unit, bounded by the look-ahead window
-// so decode never runs unboundedly ahead of the consumer.
-func (st *QueryStream) produce(u *queryUnit) error {
-	select {
-	case st.ahead <- struct{}{}:
-	case <-st.ctx.Done():
-		return context.Cause(st.ctx)
-	}
-	snap, err := u.job.resolve(st.ctx, st.s)
-	if err != nil {
-		return err
-	}
-	select {
-	case st.s.workSem <- struct{}{}:
-	case <-st.ctx.Done():
-		return context.Cause(st.ctx)
-	}
-	start := time.Now()
-	err = u.job.decodeResolved(st.ctx, snap, st.s)
-	obs.ObserveCodec(st.ctx, st.s.pipe, obs.StageDecode, string(u.job.codecID), time.Since(start))
-	<-st.s.workSem
-	if err != nil {
-		return err
-	}
-	u.scan(st.pred, st.FPS)
-	return nil
 }
 
 // Next returns the next non-empty batch of matches in frame order, or
 // io.EOF once every candidate GOP has been scanned. After a non-nil
 // error the stream is dead and Next keeps returning that error.
 func (st *QueryStream) Next() (*QueryBatch, error) {
-	if st.err != nil {
-		return nil, st.err
-	}
-	for st.next < len(st.job.units) {
-		u := st.job.units[st.next]
-		select {
-		case <-u.done:
-		case <-st.ctx.Done():
-			return nil, st.finish(context.Cause(st.ctx))
+	for {
+		i, err := st.exec.next()
+		if err != nil {
+			return nil, err
 		}
-		if u.err != nil {
-			return nil, st.finish(u.err)
-		}
-		st.next++
-		select {
-		case <-st.ahead:
-		default:
-		}
-		st.stats.GOPsDecoded += u.job.decoded
+		u := st.job.units[i]
 		st.stats.FramesScanned += u.scanned
 		st.stats.FramesMatched += len(u.matches)
 		if len(u.matches) > 0 {
 			return &QueryBatch{Matches: u.matches}, nil
 		}
 	}
-	return nil, st.finish(io.EOF)
 }
 
-// finish records the stream's terminal state and releases its workers.
-func (st *QueryStream) finish(err error) error {
-	if st.err == nil {
-		st.err = err
-		st.stats.BytesRead = st.job.stats.BytesRead + st.job.bytesRead.Load()
-		st.cancel(err)
-	}
-	return st.err
-}
-
-// Close cancels the stream. Safe to call at any point and more than
-// once; after Close, Next reports the cancellation.
+// Close cancels the stream. Safe to call at any point, from any
+// goroutine, and more than once; after Close, Next reports the
+// cancellation.
 func (st *QueryStream) Close() error {
-	st.finish(errors.New("core: query stream closed"))
+	st.exec.cancel(errStreamClosed)
 	return nil
 }
 
@@ -480,8 +364,8 @@ func (st *QueryStream) Close() error {
 // decode and match counters once Next has returned io.EOF. Call it from
 // the goroutine consuming Next.
 func (st *QueryStream) Stats() QueryStats {
-	if st.err == nil {
-		st.stats.BytesRead = st.job.stats.BytesRead + st.job.bytesRead.Load()
-	}
-	return st.stats
+	stats := st.stats
+	stats.GOPsDecoded = int(st.job.ctr.decoded.Load())
+	stats.BytesRead += st.job.ctr.bytes.Load()
+	return stats
 }

@@ -79,16 +79,6 @@ type Options struct {
 	// the backend copy. Pointless (and off by default) when the backend
 	// lives under <dir> anyway.
 	SnapshotCatalog bool
-	// StreamAdmitBytes bounds the encoded output a compressed streaming
-	// read may buffer for cache admission. A stream whose output fits
-	// admits it as a materialized view on clean EOF — exactly as a batch
-	// Read would — so repeated hot transcode windows become passthrough;
-	// one that outgrows the bound streams on without admitting, keeping
-	// streaming memory bounded. 0 selects the default (64MB); <0 disables
-	// stream admission entirely (the pre-PR6 behavior). Raw streams never
-	// admit: holding decoded frames is what streaming exists to avoid.
-	StreamAdmitBytes int64
-
 	// DisableSummaries turns off per-GOP feature summarization entirely
 	// — at ingest and during Maintain backfill. Predicate reads still
 	// work — every GOP is decoded conservatively, as on a pre-summary
@@ -148,9 +138,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QualitySampleEvery == 0 {
 		o.QualitySampleEvery = 16
-	}
-	if o.StreamAdmitBytes == 0 {
-		o.StreamAdmitBytes = 64 << 20
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -230,6 +217,8 @@ type Store struct {
 
 	workSem chan struct{} // bounded worker pool for read execution
 
+	streamAdmitBytes int64 // encoded output a compressed stream buffers for admission
+
 	sampleMu      sync.Mutex // guards sampleCounter (est locks itself)
 	sampleCounter int
 }
@@ -278,6 +267,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		est:    quality.NewEstimator(nil),
 		pipe:   obs.NewPipeline(),
 		videos: make(map[string]*videoState),
+
+		streamAdmitBytes: streamAdmitBytes,
 	}
 	s.workSem = make(chan struct{}, s.opts.Workers)
 	if err := s.load(); err != nil {
@@ -752,24 +743,15 @@ func resolveRefIn(held map[string]*videoState, ref GOPRef) (*videoState, *PhysMe
 // tasks are CPU-bound and may outnumber pool slots. At most
 // min(n, Workers) goroutines are spawned, pulling task indices from a
 // shared counter; the semaphore is re-acquired per task so concurrent
-// reads interleave fairly on the pool rather than running to completion
+// callers interleave fairly on the pool rather than running to completion
 // one at a time.
 //
 // Cancellation is first-error-wins: each worker checks ctx before
-// claiming its next task, so a cancelled read stops consuming CPU at the
-// next task boundary (an in-flight GOP decode finishes, then the worker
-// exits). The context's cause is folded into the returned error alongside
-// any task errors that already occurred.
+// claiming its next task and while waiting for a slot, so a cancelled
+// caller stops consuming CPU at the next task boundary (an in-flight task
+// finishes, then the worker exits). The context's cause is folded into
+// the returned error alongside any task errors that already occurred.
 func (s *Store) runJobs(ctx context.Context, n int, run func(i int) error) error {
-	return s.runJobsPrepared(ctx, n, nil, run)
-}
-
-// runJobsPrepared is runJobs with an optional prepare hook that executes
-// BEFORE the task's semaphore slot is acquired. Work that blocks on IO —
-// waiting out a prefetched GOP fetch — belongs in prepare, so a task
-// stalled on the backend never occupies a CPU slot another read could
-// use. A prepare error records as the task's error and skips run.
-func (s *Store) runJobsPrepared(ctx context.Context, n int, prepare, run func(i int) error) error {
 	if n == 0 {
 		return nil
 	}
@@ -781,43 +763,27 @@ func (s *Store) runJobsPrepared(ctx context.Context, n int, prepare, run func(i 
 	var next atomic.Int64
 	var bailed atomic.Bool // some worker abandoned tasks due to cancellation
 	var wg sync.WaitGroup
-	// A non-cancellable context (Done() == nil: Read's default) skips the
-	// per-task cancellation branch entirely, keeping the batch path free.
-	done := ctx.Done()
+	done := ctx.Done() // nil for a non-cancellable context: never ready
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if done != nil {
-					select {
-					case <-done:
-						bailed.Store(true)
-						return
-					default:
-					}
+				select {
+				case <-done:
+					bailed.Store(true)
+					return
+				default:
 				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if prepare != nil {
-					if errs[i] = prepare(i); errs[i] != nil {
-						continue
-					}
-				}
-				// The semaphore wait can be long on a loaded pool; bail out
-				// of it (and don't run the task) once cancelled, so a dead
-				// read stops consuming CPU slots it hasn't acquired yet.
-				if done != nil {
-					select {
-					case s.workSem <- struct{}{}:
-					case <-done:
-						bailed.Store(true)
-						return
-					}
-				} else {
-					s.workSem <- struct{}{}
+				select {
+				case s.workSem <- struct{}{}:
+				case <-done:
+					bailed.Store(true)
+					return
 				}
 				errs[i] = run(i)
 				<-s.workSem

@@ -80,41 +80,37 @@ func TestStreamAdmitsTranscodedView(t *testing.T) {
 	}
 }
 
-// TestStreamAdmitDisabled verifies the opt-out: with StreamAdmitBytes < 0
-// no stream admits, and with a bound smaller than the output the stream
-// delivers everything but admits nothing.
+// TestStreamAdmitDisabled verifies the admission bound: with a bound
+// smaller than the output the stream delivers everything but admits
+// nothing.
 func TestStreamAdmitDisabled(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		bytes int64
-	}{{"disabled", -1}, {"outgrown", 16}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := newStore(t, Options{BudgetMultiple: -1, StreamAdmitBytes: tc.bytes})
-			writeVideo(t, s, "v", scene(24, 48, 32, 5), 8, codec.H264)
+	t.Run("outgrown", func(t *testing.T) {
+		s := newStore(t, Options{BudgetMultiple: -1})
+		s.streamAdmitBytes = 16
+		writeVideo(t, s, "v", scene(24, 48, 32, 5), 8, codec.H264)
 
-			spec := ReadSpec{P: Physical{Codec: codec.HEVC}}
-			st, err := s.ReadStream(context.Background(), "v", spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			if gops := drainGOPs(t, st); len(gops) == 0 {
-				t.Fatal("stream yielded no GOPs")
-			}
-			if st.Stats().Admitted {
-				t.Fatal("stream admitted despite the bound")
-			}
-			st2, err := s.ReadStream(context.Background(), "v", spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st2.Close()
-			drainGOPs(t, st2)
-			if st2.Stats().GOPsDecoded == 0 {
-				t.Error("second stream decoded nothing — something admitted anyway")
-			}
-		})
-	}
+		spec := ReadSpec{P: Physical{Codec: codec.HEVC}}
+		st, err := s.ReadStream(context.Background(), "v", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if gops := drainGOPs(t, st); len(gops) == 0 {
+			t.Fatal("stream yielded no GOPs")
+		}
+		if st.Stats().Admitted {
+			t.Fatal("stream admitted despite the bound")
+		}
+		st2, err := s.ReadStream(context.Background(), "v", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st2.Close()
+		drainGOPs(t, st2)
+		if st2.Stats().GOPsDecoded == 0 {
+			t.Error("second stream decoded nothing — something admitted anyway")
+		}
+	})
 }
 
 // TestStreamAdmitSkipsPassthrough verifies a same-format stream (already

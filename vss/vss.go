@@ -472,7 +472,8 @@ func (s *System) ReadContext(ctx context.Context, name string, spec ReadSpec) (*
 // reads — arrive from the returned stream's Next in order, as the parallel
 // decode pipeline produces them, byte-identical to what Read would have
 // returned all at once. Cancelling ctx (or calling Close) stops the
-// remaining decode work; streaming reads never cache-admit their result.
+// remaining decode work; raw streaming reads never cache-admit their
+// result.
 // This is the read path the vssd serving daemon uses so a disconnected
 // client stops consuming CPU.
 func (s *System) ReadStream(ctx context.Context, name string, spec ReadSpec) (*ReadStream, error) {
