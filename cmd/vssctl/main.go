@@ -17,8 +17,8 @@
 //	vssctl metrics -addr http://localhost:7744
 //	vssctl traces -addr http://localhost:7740
 //
-// The metrics and traces commands talk to a RUNNING daemon (vssd or
-// vssrouterd) over HTTP and need no -store: they fetch and pretty-print
+// The metrics and traces commands talk to a RUNNING vssd (a node or a
+// -nodes router) over HTTP and need no -store: they fetch and pretty-print
 // the /metrics snapshot and the /debug/traces slow-trace ring.
 package main
 
@@ -45,10 +45,10 @@ func main() {
 	shardRoots := flag.String("shard-roots", "", "comma-separated explicit shard root directories (overrides -shards)")
 	replicas := flag.Int("replicas", 1, "replicas of each GOP across the shard roots or nodes (needs -shards/-shard-roots/-nodes; 1 = no replication)")
 	backendKind := flag.String("backend", "", "storage backend override: localfs (default; sharding via -shards)")
-	nodes := flag.String("nodes", "", "route GOP storage to a vssd node fleet (comma-separated base URLs; same flags the router daemon runs with)")
+	nodes := flag.String("nodes", "", "route GOP storage to a vssd node fleet (comma-separated base URLs; the same -nodes and -replicas the router vssd runs with)")
 	flag.Parse()
 	// The daemon-facing commands dispatch before the -store requirement:
-	// they speak HTTP to a running vssd/vssrouterd, not to a store
+	// they speak HTTP to a running vssd, not to a store
 	// directory (same early-dispatch shape as recover-catalog below).
 	if flag.NArg() >= 1 {
 		switch flag.Arg(0) {
@@ -84,7 +84,7 @@ func main() {
 	}
 
 	// Against a node fleet the catalog replicates into the fleet on
-	// maintain (same default as vssrouterd), so recover-catalog has a
+	// maintain (as on a vssd -nodes router), so recover-catalog has a
 	// snapshot to restore from no matter which front end ran maintenance.
 	sys, err := vss.Open(*store, vss.Options{Backend: backend, SnapshotCatalog: *nodes != ""})
 	if err != nil {
@@ -138,7 +138,9 @@ metrics and traces need no -store: they fetch a running daemon's
 A store written by a sharded vssd (-shards / -shard-roots, plus
 -replicas when replicated) must be opened with the same sharding flags,
 or its GOPs will appear missing. The same holds for a routed store
-(-nodes, the vssrouterd flags): same node list, same order.
+(the -nodes and -replicas of the router vssd): same node list, same
+order. With -nodes, vssctl probes the fleet first and warns about
+unreachable nodes.
 
 maintain runs one pass of background maintenance (deferred lossless
 compression under budget pressure, compaction of contiguous cached
@@ -148,10 +150,10 @@ loop runs on an interval. Use it to trigger storage reclamation, or to
 restore full replication after swapping out a dead shard root, without
 writing Go.
 
-recover-catalog rebuilds <store>/catalog from the snapshot a router
-daemon's maintenance loop replicated into the backend (see
+recover-catalog rebuilds <store>/catalog from the snapshot a vssd -nodes
+router's maintenance loop replicated into the backend (see
 docs/CLUSTER.md): point it at the same -nodes fleet and an empty store
-directory, then start vssrouterd on that directory.`)
+directory, then start vssd -nodes on that directory.`)
 }
 
 func runRecoverCatalog(store string, backend vss.Backend, args []string) {
@@ -176,7 +178,7 @@ func fatal(err error) {
 // snapshot. -json dumps the raw JSON; -prometheus the text exposition.
 func runMetrics(args []string) {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	addr := fs.String("addr", "http://localhost:7744", "daemon base URL (vssd or vssrouterd)")
+	addr := fs.String("addr", "http://localhost:7744", "vssd base URL (a node or a -nodes router)")
 	asJSON := fs.Bool("json", false, "dump the raw JSON snapshot")
 	asProm := fs.Bool("prometheus", false, "dump the Prometheus text exposition")
 	fs.Parse(args)
@@ -235,7 +237,7 @@ func runMetrics(args []string) {
 // slow-trace ring, slowest first.
 func runTraces(args []string) {
 	fs := flag.NewFlagSet("traces", flag.ExitOnError)
-	addr := fs.String("addr", "http://localhost:7744", "daemon base URL (vssd or vssrouterd)")
+	addr := fs.String("addr", "http://localhost:7744", "vssd base URL (a node or a -nodes router)")
 	asJSON := fs.Bool("json", false, "dump the raw JSON document")
 	top := fs.Int("n", 0, "show at most N traces (0 = all retained)")
 	fs.Parse(args)

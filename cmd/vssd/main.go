@@ -1,8 +1,10 @@
 // Vssd is the VSS serving daemon: it opens a store and exposes it over
 // HTTP with streaming reads, admission control, a hot-response cache, and
 // live metrics (see internal/server for the endpoint and wire-format
-// reference). An optional background maintenance loop runs deferred
-// compression and compaction while serving.
+// reference). The store's background loop runs while serving: Maintain
+// (deferred compression, compaction, scrub) every -maintain interval,
+// and on a replicated backend a drain of the write-repair journal every
+// five seconds.
 //
 // Examples:
 //
@@ -12,15 +14,23 @@
 //	vssd -store /tmp/vss -shards 4
 //	vssd -store /tmp/vss -shards 4 -replicas 2 -maintain 30s
 //	vssd -store /tmp/vss -shard-roots /disk1/vss,/disk2/vss
+//	vssd -store /srv/router -replicas 2 -nodes http://n0:7744,http://n1:7744,http://n2:7744
+//
+// Every vssd is also a storage node (the /gops plane is always on), and
+// -nodes makes one the fleet's router: each GOP lives on -replicas nodes
+// picked by a stable hash, reads fail over, the catalog is snapshotted
+// into the fleet on every Maintain, and -maintain defaults to 1m. The
+// node LIST ORDER is part of the cluster's identity; see docs/CLUSTER.md.
 //
 // Storage backend selection: by default GOPs live in a single tree under
 // <store>/data. -shards N spreads them across N roots under the store
 // directory (data-shard0..N-1) by a stable hash; -shard-roots pins the
 // roots explicitly (one per disk in a real deployment — order matters and
 // must be stable across restarts). -replicas R keeps each GOP on R
-// distinct roots: reads fail over when a root degrades, and the
-// -maintain loop's scrub pass re-copies missing replicas, so the store
-// survives losing a disk (run with -maintain when using -replicas; the
+// distinct roots: reads fail over when a root degrades, the journal
+// drain re-copies replicas a write was seen to miss, and the -maintain
+// loop's scrub pass re-copies everything else, so the store survives
+// losing a disk (run with -maintain when using -replicas; the
 // "replication" section of /metrics reports failovers, per-shard health,
 // and scrub results). Raising -replicas on an existing store is safe;
 // changing -shards or root order is not. -backend mem serves GOP data from
@@ -61,12 +71,12 @@ func main() {
 	perClient := flag.Int("per-client", 0, "max in-flight+queued reads per client (0 = max-inflight)")
 	cacheMB := flag.Int64("cache-mb", 64, "hot-response cache size in MiB (0 disables)")
 	workers := flag.Int("workers", 0, "store CPU worker pool size (0 = GOMAXPROCS)")
-	maintain := flag.Duration("maintain", 0, "background maintenance interval (0 disables)")
+	maintain := flag.Duration("maintain", 0, "background maintenance interval: compaction, scrub-repair, catalog snapshot (0 disables; 1m when -nodes is set)")
 	shards := flag.Int("shards", 0, "shard GOP storage across N roots under the store directory (0 = single root)")
 	shardRoots := flag.String("shard-roots", "", "comma-separated explicit shard root directories (overrides -shards)")
 	replicas := flag.Int("replicas", 1, "replicas of each GOP across the shard roots (needs -shards/-shard-roots; 1 = no replication)")
 	backendKind := flag.String("backend", "", "storage backend override: localfs|mem (default localfs; sharding via -shards)")
-	nodes := flag.String("nodes", "", "route GOP storage to a vssd node fleet (comma-separated base URLs; vssrouterd is the purpose-built front end)")
+	nodes := flag.String("nodes", "", "route GOP storage to a vssd node fleet, making this vssd its router (comma-separated base URLs; order is part of the cluster identity; -replicas counts copies across nodes)")
 	slowTraces := flag.Int("slow-traces", 0, "slow-trace ring capacity for /debug/traces (0 = default)")
 	logRequests := flag.Bool("log-requests", false, "log one structured line per request to stderr (trace ID, status, stage timings)")
 	defCodec := flag.String("codec", "", "default output codec for reads that omit codec= ("+vss.CodecNames()+"; empty = raw frames)")
@@ -86,17 +96,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// A vssd routing to a node fleet (-nodes) is a router: replicate the
-	// catalog into the fleet on maintain, matching vssrouterd's default.
+	// A router maintains every minute unless -maintain says otherwise.
+	if *nodes != "" {
+		explicit := false
+		flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "maintain" })
+		if !explicit {
+			*maintain = time.Minute
+		}
+	}
 	sys, err := vss.Open(*store, vss.Options{Workers: *workers, Backend: backend, SnapshotCatalog: *nodes != ""})
 	if err != nil {
 		fatal(err)
 	}
 	defer sys.Close()
-	if *maintain > 0 {
-		stop := sys.StartBackground(*maintain)
-		defer stop()
-	}
+	stop := sys.StartBackground(*maintain)
+	defer stop()
 
 	if *logRequests {
 		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))

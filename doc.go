@@ -106,7 +106,7 @@
 //     errors and 5xx — never on 4xx. internal/router composes N remotes
 //     into a cluster backend (hash-ring placement, replica fan-out,
 //     read failover, a write-repair journal, and the same scrub engine
-//     as sharded), which cmd/vssrouterd serves as a stateless scale-out
+//     as sharded), which vssd -nodes serves as a stateless scale-out
 //     front end; see docs/CLUSTER.md.
 //
 // The metadata catalog always stays on the local filesystem under

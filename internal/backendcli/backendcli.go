@@ -1,16 +1,18 @@
-// Package backendcli resolves the storage-backend CLI flags that vssd,
-// vssrouterd, and vssctl share (-backend, -shards, -shard-roots,
-// -replicas, -nodes), so the binaries select backends identically — a
-// store written by a sharded daemon is inspected with the same flags —
-// and all warn about the same traps.
+// Package backendcli resolves the storage-backend CLI flags that vssd
+// and vssctl share (-backend, -shards, -shard-roots, -replicas, -nodes),
+// so the binaries select backends identically — a store written by a
+// sharded daemon is inspected with the same flags — and all warn about
+// the same traps.
 package backendcli
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/router"
@@ -25,7 +27,10 @@ import (
 // protocol (comma-separated base URLs; see docs/CLUSTER.md). The node
 // list ORDER is part of the cluster's identity, exactly like shard
 // roots. replicas then counts copies across distinct nodes instead of
-// local roots.
+// local roots. The fleet is probed before Open returns: unreachable
+// nodes print a warning to warn, tagged with prog, rather than fail —
+// a fleet mid-rolling-restart still serves through its healthy
+// replicas, while a misconfigured list is loud at startup.
 //
 // Without nodes, replicas > 1 requires a sharded backend (-shards or
 // -shard-roots) and keeps each GOP on that many distinct shard roots,
@@ -47,7 +52,16 @@ func Open(prog, store, kind string, shards, replicas int, shardRoots, nodes stri
 		if kind != "" {
 			return nil, fmt.Errorf("-nodes conflicts with -backend %s", kind)
 		}
-		return router.Open(splitList(nodes), replicas, storage.RemoteOptions{})
+		cluster, err := router.Open(splitList(nodes), replicas, storage.RemoteOptions{})
+		if err != nil {
+			return nil, err
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := cluster.Ping(ctx); err != nil {
+			fmt.Fprintf(warn, "%s: WARNING: fleet not fully healthy: %v\n", prog, err)
+		}
+		return cluster, nil
 	}
 	if replicas > 1 && !sharding {
 		return nil, fmt.Errorf("-replicas %d needs a sharded backend (-shards or -shard-roots) or a node fleet (-nodes)", replicas)

@@ -199,19 +199,51 @@ func (s *Store) maybeSampleQuality(frames []*frame.Frame, gop []byte, mbpp float
 	s.est.Observe(mbpp, sum/float64(n))
 }
 
-// evictCandidate scores one GOP page.
-type evictCandidate struct {
+// pageCand is one GOP page scored by LRU_VSS.
+type pageCand struct {
 	phys  *PhysMeta
 	seq   int
 	score float64
 	bytes int64
 }
 
+// scorePagesLocked scores the GOP pages keep admits with LRU_VSS
+// (Section 4): last use, plus γ times the distance to the nearer end of
+// the physical video (reduces fragmentation), minus ζ times redundancy
+// (prefers pages with higher-quality alternatives). It returns them in
+// eviction order: ascending score, ties by (phys ID, seq), never by map
+// order. Caller holds the video's lock.
+func (s *Store) scorePagesLocked(vs *videoState, gamma, zeta float64, keep func(*PhysMeta, *GOPMeta) bool) []pageCand {
+	var cands []pageCand
+	for _, p := range vs.phys {
+		n := len(p.GOPs)
+		for i := range p.GOPs {
+			g := &p.GOPs[i]
+			if !keep(p, g) {
+				continue
+			}
+			pos := min(i, n-1-i)
+			score := float64(g.LRU) + gamma*float64(pos) - zeta*float64(s.redundancyLocked(vs, p, g))
+			cands = append(cands, pageCand{phys: p, seq: g.Seq, score: score, bytes: g.Bytes})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.score != b.score {
+			return a.score < b.score
+		}
+		if a.phys.ID != b.phys.ID {
+			return a.phys.ID < b.phys.ID
+		}
+		return a.seq < b.seq
+	})
+	return cands
+}
+
 // evictLocked enforces the video's storage budget using LRU_VSS
-// (Section 4). GOPs are scored by last use offset by position (γ, reduces
-// fragmentation) and redundancy (ζ, prefers evicting pages with
-// higher-quality alternatives); pages that are the only sufficiently
-// high-quality cover of their time range are never evicted.
+// (Section 4), evicting pages in scorePagesLocked order; pages that are
+// the only sufficiently high-quality cover of their time range are never
+// evicted.
 func (s *Store) evictLocked(vs *videoState) error {
 	v := vs.meta
 	if v.Budget <= 0 {
@@ -225,31 +257,13 @@ func (s *Store) evictLocked(vs *videoState) error {
 	if s.opts.OrdinaryLRU {
 		gamma, zeta = 0, 0
 	}
-	var cands []evictCandidate
-	for _, p := range vs.phys {
-		if p.Orig {
-			// The originally written video is the guaranteed baseline
-			// cover (and may have an open streaming writer); its pages
-			// carry b(f) = +inf.
-			continue
-		}
-		n := len(p.GOPs)
-		for i := range p.GOPs {
-			g := &p.GOPs[i]
-			if g.Joint != nil {
-				// Jointly compressed pages are pinned: the partner video
-				// needs the shared overlap stream to reconstruct.
-				continue
-			}
-			pos := i
-			if n-1-i < pos {
-				pos = n - 1 - i
-			}
-			score := float64(g.LRU) + gamma*float64(pos) - zeta*float64(s.redundancyLocked(vs, p, g))
-			cands = append(cands, evictCandidate{phys: p, seq: g.Seq, score: score, bytes: g.Bytes})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].score < cands[j].score })
+	cands := s.scorePagesLocked(vs, gamma, zeta, func(p *PhysMeta, g *GOPMeta) bool {
+		// The originally written video is the guaranteed baseline cover
+		// (and may have an open streaming writer); its pages carry
+		// b(f) = +inf. Jointly compressed pages are pinned: the partner
+		// video needs the shared overlap stream to reconstruct.
+		return !p.Orig && g.Joint == nil
+	})
 
 	dirty := map[int]*PhysMeta{}
 	for _, c := range cands {

@@ -2,11 +2,16 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/frame"
 	"repro/internal/lossless"
 	"repro/internal/quality"
+	"repro/internal/storage"
 )
 
 func TestRedundancyCountsHigherQualityCovers(t *testing.T) {
@@ -243,4 +248,65 @@ func TestLegacyFlateBlockGOPStillReads(t *testing.T) {
 			t.Fatalf("frame %d changed through the legacy flate block", i)
 		}
 	}
+}
+
+// TestLRUOrderReplays replays one operation sequence — an h264 source,
+// then seven reads of mixed views whose admissions overflow the budget —
+// into fresh stores and requires every store to end with the same
+// catalog, with deferred compression on and off. Eviction and deferred
+// compression pick pages by LRU_VSS score with ties broken by (phys ID,
+// seq), so the outcome never depends on map iteration order.
+func TestLRUOrderReplays(t *testing.T) {
+	src := scene(40, 32, 24, 57)
+	roi := frame.Rect{X0: 0, Y0: 0, X1: 16, Y1: 12}
+	reads := []ReadSpec{
+		{P: Physical{Codec: codec.HEVC}},
+		{T: Temporal{Start: 1, End: 4}},
+		{S: Spatial{Width: 16, Height: 12}, P: Physical{Codec: codec.H264}},
+		{T: Temporal{Start: 0, End: 3}, P: Physical{Format: frame.YUV420}},
+		{S: Spatial{ROI: &roi}, P: Physical{Codec: codec.HEVC}},
+		{T: Temporal{Start: 2, End: 5}, P: Physical{Codec: codec.H264, Quality: 60}},
+		{},
+	}
+	for _, deferred := range []bool{false, true} {
+		t.Run(fmt.Sprintf("deferred=%v", deferred), func(t *testing.T) {
+			outcomes := map[string]int{}
+			for i := 0; i < 20; i++ {
+				s := newStore(t, Options{GOPFrames: 8, BudgetMultiple: 6, DisableDeferred: !deferred, Backend: storage.NewMem()})
+				writeVideo(t, s, "v", src, 8, codec.H264)
+				for _, spec := range reads {
+					if _, err := s.Read("v", spec); err != nil {
+						t.Fatalf("read %+v: %v", spec, err)
+					}
+				}
+				outcomes[catalogOutcome(t, s, "v")]++
+			}
+			if len(outcomes) != 1 {
+				for o, n := range outcomes {
+					t.Logf("%d stores ended with:\n%s", n, o)
+				}
+				t.Fatalf("%d distinct final catalogs across 20 replays", len(outcomes))
+			}
+		})
+	}
+}
+
+// catalogOutcome renders a video's physical views and their pages in ID
+// order: what eviction and deferred compression decided.
+func catalogOutcome(t *testing.T, s *Store, video string) string {
+	t.Helper()
+	_, phys, err := s.Info(video)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(phys, func(i, j int) bool { return phys[i].ID < phys[j].ID })
+	var b strings.Builder
+	for _, p := range phys {
+		fmt.Fprintf(&b, "phys %d %s %dx%d:", p.ID, p.Codec, p.Width, p.Height)
+		for _, g := range p.GOPs {
+			fmt.Fprintf(&b, " %d/%d/%d", g.Seq, g.Bytes, g.Lossless)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -57,39 +57,18 @@ func (s *Store) DeferredLevel(video string) int {
 }
 
 // compressOneLocked losslessly compresses the uncompressed GOP least
-// likely to be evicted (highest LRU_VSS score). Returns whether any entry
-// was compressed. Caller holds the video's lock.
+// likely to be evicted (last in scorePagesLocked's eviction order).
+// Returns whether any entry was compressed. Caller holds the video's
+// lock.
 func (s *Store) compressOneLocked(vs *videoState, level int) (bool, error) {
 	v := vs.meta
-	type cand struct {
-		phys  *PhysMeta
-		seq   int
-		score float64
-	}
-	var cands []cand
-	for _, p := range vs.phys {
-		if p.Codec != codec.Raw {
-			continue
-		}
-		n := len(p.GOPs)
-		for i := range p.GOPs {
-			g := &p.GOPs[i]
-			if g.Lossless != 0 || g.Joint != nil || g.DupOf != nil {
-				continue // already compressed or marked incompressible
-			}
-			pos := i
-			if n-1-i < pos {
-				pos = n - 1 - i
-			}
-			score := float64(g.LRU) + s.opts.Gamma*float64(pos) - s.opts.Zeta*float64(s.redundancyLocked(vs, p, g))
-			cands = append(cands, cand{p, g.Seq, score})
-		}
-	}
+	cands := s.scorePagesLocked(vs, s.opts.Gamma, s.opts.Zeta, func(p *PhysMeta, g *GOPMeta) bool {
+		return p.Codec == codec.Raw && g.Lossless == 0 && g.Joint == nil && g.DupOf == nil
+	})
 	if len(cands) == 0 {
 		return false, nil
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
-	c := cands[0]
+	c := cands[len(cands)-1]
 	g := findGOP(c.phys, c.seq)
 	data, err := s.readGOP(context.Background(), v.Name, c.phys.Dir, g.Seq, g.Bytes)
 	if err != nil {
@@ -232,24 +211,51 @@ func (s *Store) snapshotCatalog() error {
 	return s.files.WriteGOP(storage.CatalogSnapshotVideo, storage.CatalogSnapshotDir, 0, data)
 }
 
-// StartBackground launches the maintenance loop at the given interval and
-// returns a stop function. The loop runs concurrently with foreground
-// operations (per-video locking keeps them from serializing store-wide).
+// repairInterval is how often the background loop drains a replicated
+// backend's write-repair journal; a variable so tests can shorten it.
+var repairInterval = 5 * time.Second
+
+// StartBackground runs the store's one background loop until the
+// returned stop function is called: Maintain every interval (never when
+// interval <= 0) and, when the backend keeps two or more copies of each
+// GOP, a drain of the write-repair journal every five seconds. No
+// goroutine starts when there is nothing to do. stop (idempotent)
+// returns after any in-flight pass, so the store may be closed right
+// after it. Both passes are best-effort: a failed Maintain is retried on
+// the next tick, and failed repairs re-queue.
 func (s *Store) StartBackground(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
+	sc := storage.AsScrubber(s.files)
+	drain := sc != nil && sc.ReplicationStats().Replicas >= 2
+	if interval <= 0 && !drain {
+		return func() {}
+	}
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
+		defer close(exited)
+		var maintain, repair <-chan time.Time // nil channels never fire
+		if interval > 0 {
+			t := time.NewTicker(interval)
+			defer t.Stop()
+			maintain = t.C
+		}
+		if drain {
+			t := time.NewTicker(repairInterval)
+			defer t.Stop()
+			repair = t.C
+		}
 		for {
 			select {
 			case <-done:
 				return
-			case <-t.C:
-				// Maintenance is best-effort; errors surface on the next
-				// foreground operation.
+			case <-maintain:
 				_ = s.Maintain()
+			case <-repair:
+				_, _ = sc.Repair()
 			}
 		}
 	}()
-	return func() { close(done) }
+	return sync.OnceFunc(func() {
+		close(done)
+		<-exited
+	})
 }

@@ -82,9 +82,8 @@ func queryLine(g *goldenHash, n int, st QueryStats) string {
 // interleave with transcoded edges). Cache admission runs, so each step's
 // plan depends on the ones before it; PSNR sampling runs on every
 // admitted compressed GOP, so the estimator's final size pins which reads
-// sample. The budget is unlimited: eviction and deferred compression
-// break score ties in map order, which would make later plans vary from
-// run to run.
+// sample. The budget is unlimited, so the freeze covers the read paths
+// alone (TestLRUOrderReplays covers eviction and deferred compression).
 func TestReadGolden(t *testing.T) {
 	s := newStore(t, Options{GOPFrames: 8, Workers: 2, QualitySampleEvery: 1, BudgetMultiple: -1})
 	writeVideo(t, s, "v", scene(40, 64, 48, 31), 8, codec.H264)

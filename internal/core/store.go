@@ -74,8 +74,8 @@ type Options struct {
 	// storage.CatalogSnapshotVideo address, riding the backend's normal
 	// write path — on a replicated backend every replica holds a copy.
 	// This closes the catalog's single-point-of-failure for deployments
-	// whose GOP bytes outlive the store directory (the router daemon
-	// fronting a vssd fleet): RestoreCatalog rebuilds <dir>/catalog from
+	// whose GOP bytes outlive the store directory (vssd -nodes fronting
+	// a vssd fleet): RestoreCatalog rebuilds <dir>/catalog from
 	// the backend copy. Pointless (and off by default) when the backend
 	// lives under <dir> anyway.
 	SnapshotCatalog bool

@@ -7,10 +7,11 @@
 // # Trace model
 //
 // A Trace follows one request. Its identity is a 16-hex-char ID minted
-// at the serving edge (vssd or vssrouterd) — or resumed from the
-// X-VSS-Trace wire header when an upstream already minted one — and
-// echoed back in the response, so the same ID names the request at the
-// client, the router, and every storage node a read touches.
+// at the serving edge (vssd, whether a node or a -nodes router) — or
+// resumed from the X-VSS-Trace wire header when an upstream already
+// minted one — and echoed back in the response, so the same ID names
+// the request at the client, the router, and every storage node a read
+// touches.
 //
 // Stage timing is recorded two ways, matching how the pipeline behaves:
 //

@@ -71,7 +71,8 @@ func New(nodes []storage.Backend, labels []string, replicas int) (*Cluster, erro
 }
 
 // Ping probes every node's health endpoint (for nodes that have one)
-// and joins the failures — the router daemon's startup readiness check.
+// and joins the failures — the readiness check backendcli runs when a
+// daemon or vssctl opens a -nodes fleet.
 func (c *Cluster) Ping(ctx context.Context) error {
 	var errs []error
 	for i, n := range c.nodes {

@@ -164,7 +164,7 @@ type MetricsSnapshot struct {
 	// (vss.ReplicationStats, sampled at snapshot time).
 	Replication *vss.ReplicationStats `json:"replication,omitempty"`
 	// Cluster is present only when the store routes GOPs across remote
-	// vssd nodes (the vssrouterd daemon): per-node error counters and
+	// vssd nodes (vssd -nodes): per-node error counters and
 	// demotion state, read failovers, write-repair journal depth, and
 	// repair/scrub counters (vss.ClusterStats, sampled at snapshot
 	// time).

@@ -153,9 +153,19 @@ func TestHTTPRoundtrip(t *testing.T) {
 		}
 	}
 
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// The server counts a read completed just after flushing its last
+	// chunk, so the client can see the end of the cached read first:
+	// wait for the count rather than assume the order.
+	var m MetricsSnapshot
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if m, err = c.Metrics(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if m.Reads.Completed >= 3 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if m.Reads.Completed < 3 || m.Cache.Hits != 1 || m.Cache.Misses < 1 {
 		t.Errorf("metrics = %+v", m)

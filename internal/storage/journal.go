@@ -145,7 +145,8 @@ func (j *journal) droppedCount() int64 {
 // journaling); entries whose repair fails are re-queued up to their
 // attempt budget. Returns the number of copies repaired this pass.
 // Serialized internally; safe to call on a timer alongside foreground
-// traffic (the router daemon does), and every Scrub starts with one.
+// traffic (the store's background loop does), and every Scrub starts
+// with one.
 func (r *Ring) Repair() (int, error) {
 	r.repairMu.Lock()
 	defer r.repairMu.Unlock()

@@ -116,6 +116,9 @@ type ReplicationStats struct {
 type Scrubber interface {
 	// Scrub runs one check-and-repair pass; see Ring.Scrub.
 	Scrub(expect SizeOracle) (ScrubStats, error)
+	// Repair drains one batch of the write-repair journal; see
+	// Ring.Repair.
+	Repair() (int, error)
 	// ReplicationStats snapshots replication health counters.
 	ReplicationStats() ReplicationStats
 }

@@ -397,9 +397,9 @@ func (s *System) ReplicationStats() (ReplicationStats, bool) {
 }
 
 // ClusterStats snapshots routed-fleet health when the backend routes
-// GOPs across remote vssd nodes (the vssrouterd daemon's cluster
-// backend): per-node errors and demotions, read failovers, write-repair
-// journal depth, repair and scrub counters. ok is false for local
+// GOPs across remote vssd nodes (the cluster backend of vssd -nodes):
+// per-node errors and demotions, read failovers, write-repair journal
+// depth, repair and scrub counters. ok is false for local
 // backends. Safe for concurrent use; also served by /metrics as the
 // "cluster" section.
 func (s *System) ClusterStats() (ClusterStats, bool) { return s.store.ClusterStats() }
@@ -523,8 +523,11 @@ func (s *System) Compact(name string) (int, error) { return s.store.CompactVideo
 // and compaction) across all videos.
 func (s *System) Maintain() error { return s.store.Maintain() }
 
-// StartBackground runs Maintain on an interval until the returned stop
-// function is called.
+// StartBackground runs Maintain every interval (never when interval <=
+// 0) and, when the backend keeps two or more copies of each GOP, drains
+// the write-repair journal every five seconds, until the returned stop
+// function is called. stop returns after any in-flight pass, so Close
+// may follow it directly.
 func (s *System) StartBackground(interval time.Duration) (stop func()) {
 	return s.store.StartBackground(interval)
 }
