@@ -22,6 +22,11 @@
 // into the fleet on every Maintain, and -maintain defaults to 1m. The
 // node LIST ORDER is part of the cluster's identity; see docs/CLUSTER.md.
 //
+// GET /debug/traces returns the 64 slowest recent requests with their
+// per-stage breakdowns (docs/TRACING.md); -log-requests adds one
+// structured line per finished read, and -codec sets the output codec of
+// reads that omit codec=.
+//
 // Storage backend selection: by default GOPs live in a single tree under
 // <store>/data. -shards N spreads them across N roots under the store
 // directory (data-shard0..N-1) by a stable hash; -shard-roots pins the
@@ -77,7 +82,6 @@ func main() {
 	replicas := flag.Int("replicas", 1, "replicas of each GOP across the shard roots (needs -shards/-shard-roots; 1 = no replication)")
 	backendKind := flag.String("backend", "", "storage backend override: localfs|mem (default localfs; sharding via -shards)")
 	nodes := flag.String("nodes", "", "route GOP storage to a vssd node fleet, making this vssd its router (comma-separated base URLs; order is part of the cluster identity; -replicas counts copies across nodes)")
-	slowTraces := flag.Int("slow-traces", 0, "slow-trace ring capacity for /debug/traces (0 = default)")
 	logRequests := flag.Bool("log-requests", false, "log one structured line per request to stderr (trace ID, status, stage timings)")
 	defCodec := flag.String("codec", "", "default output codec for reads that omit codec= ("+vss.CodecNames()+"; empty = raw frames)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on a dedicated address, e.g. localhost:6060 (off by default)")
@@ -120,7 +124,6 @@ func main() {
 		MaxQueuedReads:    *maxQueue,
 		MaxReadsPerClient: *perClient,
 		CacheBytes:        *cacheMB << 20,
-		SlowTraces:        *slowTraces,
 		RequestLog:        *logRequests,
 		DefaultCodec:      vss.Codec(*defCodec),
 	})

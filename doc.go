@@ -30,16 +30,16 @@
 // involved video locks in sorted name order, which keeps the system
 // deadlock-free. See internal/core/store.go for the full contract.
 //
-// Ingest is pipelined the same way: a streaming Writer hands each
-// completed GOP to a bounded pool of encode workers (vss.WriteOptions
-// EncodeWorkers, default Options.Workers, sharing the same store-wide CPU
-// budget as reads) and commits encoded GOPs strictly in append order
-// through a sequenced commit queue, so a single camera stream compresses
-// on every core while readers still only ever observe a durable prefix of
-// the appended frames. At most MaxInflightGOPs GOPs buffer in the
-// pipeline before Append blocks; encode or commit errors surface — first
-// in append order, deterministically — on a later Append or on
-// Flush/Close, which drain the pipeline. Bulk ingest through WriteEncoded
+// Ingest is pipelined the same way: every streaming Writer hands each
+// GOP — complete ones from Append, the trailing partial one from Flush —
+// to a pool of Options.Workers encode workers (sharing the same
+// store-wide CPU budget as reads) and commits encoded GOPs strictly in
+// append order through a sequenced commit queue, so a single camera
+// stream compresses on every core while readers still only ever observe
+// a durable prefix of the appended frames. At most 2*Options.Workers GOPs
+// buffer in the pipeline before Append blocks; encode or commit errors
+// surface — first in append order, deterministically — on a later Append
+// or on Flush/Close, which drain the pipeline. Bulk ingest through WriteEncoded
 // validates outside the video lock and commits in bounded chunks so it
 // cannot starve concurrent readers of the same video. See
 // internal/core/writer.go for the engine.

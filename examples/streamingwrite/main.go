@@ -3,14 +3,12 @@
 // reader concurrently queries prefixes of the video that are already
 // durable — without waiting for the write to finish.
 //
-// Ingest is pipelined: vss.WriteOptions tunes it per Writer.
-// EncodeWorkers bounds how many GOPs compress in parallel (0 defaults to
-// the store's Options.Workers CPU budget; 1 encodes inline, serially) and
-// MaxInflightGOPs bounds how many GOPs may buffer in the pipeline before
-// Append blocks (0 defaults to 2*EncodeWorkers). Whatever the settings,
-// GOPs commit strictly in append order, so the reader below still only
-// ever sees a durable prefix of the stream; an encode failure would
-// surface on a later Append or on Flush/Close, which drain the pipeline.
+// Ingest is pipelined: each Writer compresses up to Options.Workers GOPs
+// in parallel (the store's CPU budget, shared with reads) and lets at
+// most 2*Workers GOPs buffer before Append blocks. GOPs still commit
+// strictly in append order, so the reader below only ever sees a durable
+// prefix of the stream; an encode failure would surface on a later
+// Append or on Flush/Close, which drain the pipeline.
 package main
 
 import (
@@ -31,7 +29,9 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	sys, err := vss.Open(dir, vss.Options{GOPFrames: 8})
+	// Two workers: one camera's GOPs compress two at a time, at most four
+	// in flight, yet commit in order (see the package comment).
+	sys, err := vss.Open(dir, vss.Options{GOPFrames: 8, Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,10 +44,7 @@ func main() {
 	if err := sys.Create("live-cam", 0); err != nil {
 		log.Fatal(err)
 	}
-	// Two encode workers, at most four GOPs in flight: one camera's GOPs
-	// compress in parallel yet commit in order (see the package comment).
-	w, err := sys.OpenWriterWith("live-cam", vss.WriteSpec{FPS: fps, Codec: vss.H264},
-		vss.WriteOptions{EncodeWorkers: 2, MaxInflightGOPs: 4})
+	w, err := sys.OpenWriter("live-cam", vss.WriteSpec{FPS: fps, Codec: vss.H264})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,9 +40,7 @@ type DB struct {
 	walLen int // records in the WAL since last snapshot
 	closed bool
 
-	// SnapshotEvery triggers an automatic snapshot after this many WAL
-	// records (0 disables automatic snapshots).
-	SnapshotEvery int
+	snapshotEvery int // automatic snapshot after this many WAL records
 }
 
 // walRecord is one logged mutation.
@@ -61,7 +59,7 @@ func Open(dir string) (*DB, error) {
 	db := &DB{
 		dir:           dir,
 		tables:        make(map[string]map[string]json.RawMessage),
-		SnapshotEvery: 10000,
+		snapshotEvery: 10000,
 	}
 	if err := db.loadSnapshot(); err != nil {
 		return nil, err
@@ -173,7 +171,7 @@ func (db *DB) commit(rec walRecord) error {
 	}
 	db.apply(rec)
 	db.walLen++
-	if db.SnapshotEvery > 0 && db.walLen >= db.SnapshotEvery {
+	if db.walLen >= db.snapshotEvery {
 		_, err := db.snapshotLocked()
 		return err
 	}

@@ -227,7 +227,7 @@ func TestScan(t *testing.T) {
 func TestAutoSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := Open(dir)
-	db.SnapshotEvery = 10
+	db.snapshotEvery = 10
 	for i := 0; i < 25; i++ {
 		db.Put("t", fmt.Sprintf("k%d", i), i)
 	}

@@ -112,7 +112,7 @@ func (s *Store) admitLocked(vs *videoState, job *readJob, out readOutput) (bool,
 		// Raw views are cached in the requested pixel layout so identical
 		// future reads are pure IO; phase B already produced the frames in
 		// that layout.
-		gopN := rawGOPFrames(s.opts.RawBlockBytes, r.format, r.roiW, r.roiH, s.opts.GOPFrames)
+		gopN := rawGOPFrames(s.rawBlockBytes, r.format, r.roiW, r.roiH, s.opts.GOPFrames)
 		for i := 0; i < len(frames); i += gopN {
 			j := min(i+gopN, len(frames))
 			data, _, err := codec.EncodeGOP(frames[i:j], codec.Raw, 0)
@@ -171,7 +171,7 @@ func (s *Store) maybeSampleQuality(frames []*frame.Frame, gop []byte, mbpp float
 	}
 	s.sampleMu.Lock()
 	s.sampleCounter++
-	due := s.sampleCounter%s.opts.QualitySampleEvery == 0
+	due := s.sampleCounter%s.qualitySampleEvery == 0
 	s.sampleMu.Unlock()
 	if !due {
 		return
@@ -253,7 +253,7 @@ func (s *Store) evictLocked(vs *videoState) error {
 	if total <= v.Budget {
 		return nil
 	}
-	gamma, zeta := s.opts.Gamma, s.opts.Zeta
+	gamma, zeta := lruGamma, lruZeta
 	if s.opts.OrdinaryLRU {
 		gamma, zeta = 0, 0
 	}

@@ -83,7 +83,8 @@ func TestMatchesOutputQualitySensitivity(t *testing.T) {
 }
 
 func TestDeferredCompressionRoundTripsThroughReads(t *testing.T) {
-	s := newStore(t, Options{BudgetMultiple: 40, DeferredThreshold: 0.01, GOPFrames: 8})
+	s := newStore(t, Options{BudgetMultiple: 40, GOPFrames: 8})
+	s.deferredThreshold = 0.01
 	writeVideo(t, s, "v", scene(16, 64, 48, 82), 4, codec.H264)
 	// Cache raw views, force compression, read back, verify content.
 	before, err := s.Read("v", ReadSpec{})
@@ -111,7 +112,8 @@ func TestDeferredCompressionRoundTripsThroughReads(t *testing.T) {
 func TestDeferredLevelScalesWithPressure(t *testing.T) {
 	// LevelForBudget drives the controller; verify the mapping contract
 	// against the store's reported level.
-	s := newStore(t, Options{GOPFrames: 8, DeferredThreshold: 0.1})
+	s := newStore(t, Options{GOPFrames: 8})
+	s.deferredThreshold = 0.1
 	writeVideo(t, s, "v", scene(16, 64, 48, 83), 4, codec.Raw)
 	lvl := s.DeferredLevel("v")
 	vs := s.acquire("v")
@@ -134,7 +136,8 @@ func TestDeferredLevelScalesWithPressure(t *testing.T) {
 }
 
 func TestIncompressibleGOPMarkedNotRetried(t *testing.T) {
-	s := newStore(t, Options{GOPFrames: 4, BudgetMultiple: 2, DeferredThreshold: 0.01})
+	s := newStore(t, Options{GOPFrames: 4, BudgetMultiple: 2})
+	s.deferredThreshold = 0.01
 	// Random frames are incompressible; deferred compression should mark
 	// them and move on rather than rewriting files.
 	frames := scene(8, 64, 48, 84)
@@ -190,7 +193,8 @@ func TestCompactionRejectsJointAndOriginal(t *testing.T) {
 // block, Lossless level set in the catalog — and the read path must
 // inflate it transparently and return the same frames.
 func TestLegacyFlateBlockGOPStillReads(t *testing.T) {
-	s := newStore(t, Options{BudgetMultiple: 60, DeferredThreshold: 0.01, GOPFrames: 8, DisableDeferred: true})
+	s := newStore(t, Options{BudgetMultiple: 60, GOPFrames: 8, DisableDeferred: true})
+	s.deferredThreshold = 0.01
 	writeVideo(t, s, "v", scene(16, 64, 48, 91), 4, codec.H264)
 	before, err := s.Read("v", ReadSpec{})
 	if err != nil {

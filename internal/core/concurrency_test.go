@@ -272,8 +272,7 @@ func TestPipelinedWriterPrefixReaders(t *testing.T) {
 	go func() { // camera: pipelined ingest, one GOP per Append
 		defer wg.Done()
 		defer close(writerDone)
-		w, err := s.OpenWriterWith("live", WriteSpec{FPS: 8, Codec: codec.H264},
-			WriteOptions{EncodeWorkers: 4, MaxInflightGOPs: 6})
+		w, err := s.OpenWriter("live", WriteSpec{FPS: 8, Codec: codec.H264})
 		if err != nil {
 			errc <- err
 			return
@@ -368,7 +367,7 @@ func TestWorkersOptionSerialExecution(t *testing.T) {
 	if res.FrameCount() != 16 || res.Width != 32 || res.Height != 24 {
 		t.Fatalf("serial pipeline result %dx%d, %d frames", res.Width, res.Height, res.FrameCount())
 	}
-	if s.Options().Workers != 1 {
-		t.Errorf("Workers option not preserved: %d", s.Options().Workers)
+	if s.opts.Workers != 1 {
+		t.Errorf("Workers option not preserved: %d", s.opts.Workers)
 	}
 }

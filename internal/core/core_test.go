@@ -488,7 +488,8 @@ func TestUnlimitedBudgetNeverEvicts(t *testing.T) {
 }
 
 func TestDeferredCompressionShrinksRawCache(t *testing.T) {
-	s := newStore(t, Options{BudgetMultiple: 60, DeferredThreshold: 0.01, GOPFrames: 8})
+	s := newStore(t, Options{BudgetMultiple: 60, GOPFrames: 8})
+	s.deferredThreshold = 0.01
 	writeVideo(t, s, "v", scene(24, 64, 48, 22), 4, codec.H264)
 	// Raw reads populate large uncompressed views and trigger deferred
 	// compression pressure.
@@ -525,7 +526,8 @@ func TestDeferredCompressionShrinksRawCache(t *testing.T) {
 }
 
 func TestDeferredDisabled(t *testing.T) {
-	s := newStore(t, Options{BudgetMultiple: 60, DeferredThreshold: 0.01, DisableDeferred: true})
+	s := newStore(t, Options{BudgetMultiple: 60, DisableDeferred: true})
+	s.deferredThreshold = 0.01
 	writeVideo(t, s, "v", scene(8, 64, 48, 23), 4, codec.H264)
 	if _, err := s.Read("v", ReadSpec{}); err != nil {
 		t.Fatal(err)

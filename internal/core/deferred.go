@@ -27,7 +27,7 @@ func (s *Store) deferredPressureLocked(vs *videoState) error {
 		return nil
 	}
 	used := vs.totalBytes()
-	if float64(used) < s.opts.DeferredThreshold*float64(v.Budget) {
+	if float64(used) < s.deferredThreshold*float64(v.Budget) {
 		return nil
 	}
 	remaining := 1 - float64(used)/float64(v.Budget)
@@ -50,7 +50,7 @@ func (s *Store) DeferredLevel(video string) int {
 		return 0
 	}
 	used := vs.totalBytes()
-	if float64(used) < s.opts.DeferredThreshold*float64(v.Budget) {
+	if float64(used) < s.deferredThreshold*float64(v.Budget) {
 		return 0
 	}
 	return lossless.LevelForBudget(1 - float64(used)/float64(v.Budget))
@@ -62,7 +62,7 @@ func (s *Store) DeferredLevel(video string) int {
 // lock.
 func (s *Store) compressOneLocked(vs *videoState, level int) (bool, error) {
 	v := vs.meta
-	cands := s.scorePagesLocked(vs, s.opts.Gamma, s.opts.Zeta, func(p *PhysMeta, g *GOPMeta) bool {
+	cands := s.scorePagesLocked(vs, lruGamma, lruZeta, func(p *PhysMeta, g *GOPMeta) bool {
 		return p.Codec == codec.Raw && g.Lossless == 0 && g.Joint == nil && g.DupOf == nil
 	})
 	if len(cands) == 0 {
@@ -110,9 +110,6 @@ const backfillBudget = 16
 // predicate reads keep decoding them conservatively. Caller holds the
 // video's lock.
 func (s *Store) backfillSummariesLocked(vs *videoState) error {
-	if s.opts.DisableSummaries {
-		return nil
-	}
 	p := vs.original()
 	if p == nil {
 		return nil

@@ -85,7 +85,8 @@ func queryLine(g *goldenHash, n int, st QueryStats) string {
 // sample. The budget is unlimited, so the freeze covers the read paths
 // alone (TestLRUOrderReplays covers eviction and deferred compression).
 func TestReadGolden(t *testing.T) {
-	s := newStore(t, Options{GOPFrames: 8, Workers: 2, QualitySampleEvery: 1, BudgetMultiple: -1})
+	s := newStore(t, Options{GOPFrames: 8, Workers: 2, BudgetMultiple: -1})
+	s.qualitySampleEvery = 1
 	writeVideo(t, s, "v", scene(40, 64, 48, 31), 8, codec.H264)
 	writeVideo(t, s, "q", burstScene(48, 64, 48, [][2]int{{8, 16}, {30, 40}}), 8, codec.H264)
 

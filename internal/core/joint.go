@@ -282,7 +282,7 @@ func (s *Store) compressPairWithH(pair *jointPair, h vision.Homography, merge Me
 		recR := reconstructRight(rf, of, hInv, xf, xg, wR, hR)
 		psnrL, _ := quality.PSNR(fl, recL)
 		psnrR, _ := quality.PSNR(fr, recR)
-		if psnrL < s.opts.JointMinPSNR || psnrR < s.opts.JointMinPSNR {
+		if psnrL < jointMinPSNR || psnrR < jointMinPSNR {
 			if !reestimated {
 				// Re-estimate the homography from the failing frame. The
 				// split columns change with it, so the whole GOP restarts:

@@ -115,7 +115,7 @@ func (s *Store) resolve(v *VideoMeta, spec ReadSpec) (resolvedSpec, error) {
 	r.quality = effectiveQuality(spec.P.Quality)
 	r.minPSNR = spec.P.MinPSNR
 	if r.minPSNR == 0 {
-		r.minPSNR = s.opts.MinPSNR
+		r.minPSNR = defaultMinPSNR
 	}
 	// Frames leave the read in one format: YUV420 for every compressed
 	// codec (what the encoders take and what admission records), the
@@ -250,7 +250,7 @@ func (s *Store) entryLookback(p *PhysMeta, t float64) float64 {
 			// One independent frame (the GOP's I-frame) plus before-1
 			// dependent frames must be decoded and discarded.
 			frames := cost.LookBack(1, before-1)
-			perFrame := s.opts.CostModel.Alpha(p.Codec, codec.Raw, p.Width*p.Height) * float64(p.Width*p.Height)
+			perFrame := costModel.Alpha(p.Codec, codec.Raw, p.Width*p.Height) * float64(p.Width*p.Height)
 			return frames * perFrame
 		}
 	}
@@ -265,7 +265,7 @@ func (s *Store) stepCost(p *PhysMeta, r resolvedSpec, a, b float64) float64 {
 	}
 	srcPx := p.Width * p.Height
 	dstPx := r.roiW * r.roiH
-	return s.opts.CostModel.Transcode(p.Codec, r.codec, srcPx, dstPx, n)
+	return costModel.Transcode(p.Codec, r.codec, srcPx, dstPx, n)
 }
 
 // plan selects fragments for a read using the SMT solver (or the greedy

@@ -232,7 +232,7 @@ func TestResolveDefaults(t *testing.T) {
 	if r.codec != codec.Raw {
 		t.Errorf("default codec %s", r.codec)
 	}
-	if r.minPSNR != s.opts.MinPSNR {
+	if r.minPSNR != defaultMinPSNR {
 		t.Errorf("default min psnr %f", r.minPSNR)
 	}
 }

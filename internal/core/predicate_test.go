@@ -697,7 +697,7 @@ func TestPredicateReadsConcurrentWithWriter(t *testing.T) {
 		}(r)
 	}
 
-	wr, err := s.OpenWriterWith("v", WriteSpec{FPS: fps, Codec: codec.H264}, WriteOptions{EncodeWorkers: 2})
+	wr, err := s.OpenWriter("v", WriteSpec{FPS: fps, Codec: codec.H264})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,38 +724,6 @@ func TestPredicateReadsConcurrentWithWriter(t *testing.T) {
 	matchesEqual(t, "post-write", res.Matches, baselineMatches(full, gop, pred, 0, float64(n)/fps))
 	if res.Stats.NoSummary != 0 {
 		t.Errorf("%d GOPs missing summaries after pipelined write", res.Stats.NoSummary)
-	}
-}
-
-// TestDisableSummaries pins the escape hatch: no summaries are computed,
-// every query decodes conservatively, and results are still exact.
-func TestDisableSummaries(t *testing.T) {
-	const n, fps, gop = 32, 8, 8
-	s := newStore(t, Options{GOPFrames: gop, DisableCache: true, DisableSummaries: true})
-	writeVideo(t, s, "v", burstScene(n, 64, 48, [][2]int{{8, 16}}), fps, codec.H264)
-	pred, _ := ParsePredicate("count >= 1")
-	res, err := s.ReadWhere("v", pred, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.NoSummary != n/gop || res.Stats.GOPsSkipped != 0 {
-		t.Errorf("stats %+v, want all %d GOPs summaryless", res.Stats, n/gop)
-	}
-	full, err := s.Read("v", ReadSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matchesEqual(t, "disabled", res.Matches, baselineMatches(full, gop, pred, 0, float64(n)/fps))
-	// Maintain must respect the switch too.
-	if err := s.Maintain(); err != nil {
-		t.Fatal(err)
-	}
-	res, err = s.ReadWhere("v", pred, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.NoSummary != n/gop {
-		t.Errorf("Maintain backfilled summaries with DisableSummaries set")
 	}
 }
 

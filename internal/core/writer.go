@@ -12,40 +12,6 @@ import (
 	"repro/internal/storage"
 )
 
-// WriteOptions tune a Writer's pipelined ingest engine. The zero value
-// selects safe defaults sized from the store's Options.Workers budget.
-type WriteOptions struct {
-	// EncodeWorkers is the number of GOP-encode workers the writer may run
-	// concurrently. 0 defaults to the store's Options.Workers; 1 disables
-	// the pipeline entirely and encodes inline in the appending goroutine
-	// (the serial pre-pipeline behavior, useful for deterministic
-	// profiling). Whatever the setting, workers share the store-wide
-	// Options.Workers CPU semaphore with the read pipeline, so total
-	// encode/decode fan-out stays bounded across all writers and readers.
-	EncodeWorkers int
-	// MaxInflightGOPs bounds the GOPs buffered inside the pipeline —
-	// encoding or awaiting their in-order commit — before Append blocks.
-	// It caps ingest memory at roughly MaxInflightGOPs uncompressed GOPs.
-	// 0 defaults to 2*EncodeWorkers.
-	MaxInflightGOPs int
-}
-
-// withDefaults resolves zero fields against the store's options.
-func (wo WriteOptions) withDefaults(opts Options) WriteOptions {
-	if wo.EncodeWorkers <= 0 {
-		wo.EncodeWorkers = opts.Workers
-	}
-	if wo.MaxInflightGOPs <= 0 {
-		wo.MaxInflightGOPs = 2 * wo.EncodeWorkers
-	}
-	if wo.MaxInflightGOPs < wo.EncodeWorkers {
-		// Fewer tokens than workers just idles workers; keep every worker
-		// feedable so the configured parallelism is reachable.
-		wo.MaxInflightGOPs = wo.EncodeWorkers
-	}
-	return wo
-}
-
 // errWriterClosed poisons a Writer after Close so later calls fail fast.
 var errWriterClosed = errors.New("core: writer closed")
 
@@ -55,11 +21,11 @@ var errWriterClosed = errors.New("core: writer closed")
 // (Section 2: "writes to VSS are non-blocking and users may query prefixes
 // of ingested video data").
 //
-// Ingest is pipelined: Append hands completed GOPs to a bounded pool of
-// encode workers and returns; encoded GOPs are committed to the store
-// strictly in append order by a sequenced commit goroutine, so a reader
-// always observes a durable prefix of the appended frames, exactly as with
-// serial ingest. Because encoding is asynchronous, an encode or commit
+// Ingest is pipelined: Append hands completed GOPs to a pool of
+// Options.Workers encode workers and returns; encoded GOPs are committed
+// to the store strictly in append order by a sequenced commit goroutine,
+// so a reader always observes a durable prefix of the appended frames,
+// exactly as with serial ingest. Because encoding is asynchronous, an encode or commit
 // failure may surface on a later Append, or on Flush/Close, which drain
 // the pipeline and report the first (lowest-sequence) error; once failed,
 // the writer is poisoned and every later call returns that same error.
@@ -82,13 +48,11 @@ type Writer struct {
 	s     *Store
 	video string
 	spec  WriteSpec
-	wopts WriteOptions
 	phys  *PhysMeta
 	buf   []*frame.Frame
 	gopN  int // frames per GOP for this writer
 	err   error
-	enc   *codec.Encoder // inline-encode scratch (partial GOPs, serial mode)
-	pipe  *ingestPipe    // nil until the first complete GOP needs encoding
+	pipe  *ingestPipe // nil until the first GOP needs encoding
 }
 
 // Write stores frames as (or appended to) the video's original physical
@@ -170,16 +134,11 @@ func (s *Store) WriteEncoded(video string, fps int, gops [][]byte) error {
 	return s.finishWriteLocked(vs, p)
 }
 
-// OpenWriter starts a streaming write with default WriteOptions. The first
-// writer on a video establishes its original physical representation m0;
-// later writers append to it (the prototype adopts the paper's
-// no-overwrite policy, so the configuration must match).
+// OpenWriter starts a streaming write. The first writer on a video
+// establishes its original physical representation m0; later writers
+// append to it (the prototype adopts the paper's no-overwrite policy, so
+// the configuration must match).
 func (s *Store) OpenWriter(video string, spec WriteSpec) (*Writer, error) {
-	return s.OpenWriterWith(video, spec, WriteOptions{})
-}
-
-// OpenWriterWith starts a streaming write with explicit pipeline tuning.
-func (s *Store) OpenWriterWith(video string, spec WriteSpec, wopts WriteOptions) (*Writer, error) {
 	if spec.FPS <= 0 {
 		return nil, fmt.Errorf("core: write requires a positive fps")
 	}
@@ -193,7 +152,7 @@ func (s *Store) OpenWriterWith(video string, spec WriteSpec, wopts WriteOptions)
 	if s.lookup(video) == nil {
 		return nil, ErrNotFound
 	}
-	return &Writer{s: s, video: video, spec: spec, wopts: wopts.withDefaults(s.opts)}, nil
+	return &Writer{s: s, video: video, spec: spec}, nil
 }
 
 // ensureOriginalLocked finds or creates the original physical video m0.
@@ -238,11 +197,10 @@ type encodedGOP struct {
 	summary *GOPSummary // feature summary for predicate planning; may be nil
 }
 
-// encodeForIngest encodes one GOP and, unless summaries are disabled,
-// computes its feature summary from the encoder's reconstructed frames —
-// the exact pixels a predicate read will decode (codec.EncodeGOPRecon
-// captures them from the closed prediction loop, so no decode-back pass
-// is paid). A nil reconstruction leaves the GOP summaryless and predicate
+// encodeForIngest encodes one GOP and computes its feature summary from
+// the encoder's reconstructed frames — the exact pixels a predicate read
+// will decode (codec.EncodeGOPRecon captures them from the closed
+// prediction loop, so no decode-back pass is paid). A nil reconstruction leaves the GOP summaryless and predicate
 // reads decode it conservatively. CPU-heavy; callers run it under a
 // workSem slot.
 //
@@ -256,7 +214,7 @@ type encodedGOP struct {
 // the reconstruction is free.
 func encodeForIngest(s *Store, enc *codec.Encoder, spec WriteSpec, frames []*frame.Frame) ([]byte, *GOPSummary, error) {
 	start := time.Now()
-	if s.opts.DisableSummaries || !spec.Codec.Compressed() {
+	if !spec.Codec.Compressed() {
 		data, _, err := enc.EncodeGOP(frames, spec.Codec, spec.Quality)
 		s.pipe.ObserveCodec(obs.StageEncode, string(spec.Codec), time.Since(start))
 		return data, nil, err
@@ -267,12 +225,6 @@ func encodeForIngest(s *Store, enc *codec.Encoder, spec WriteSpec, frames []*fra
 		return data, nil, err
 	}
 	return data, summarizeFrames(recon), nil
-}
-
-// appendGOPLocked persists one encoded GOP and registers it. Caller holds
-// the video's lock.
-func (s *Store) appendGOPLocked(vs *videoState, p *PhysMeta, data []byte, frames int) error {
-	return s.appendGOPBatchLocked(vs, p, []encodedGOP{{data: data, frames: frames}})
 }
 
 // appendGOPBatchLocked persists a batch of encoded GOPs in order and
@@ -407,55 +359,22 @@ func (w *Writer) gopFrames(f *frame.Frame) int {
 	if w.spec.Codec.Compressed() {
 		return w.s.opts.GOPFrames
 	}
-	frameBytes := int64(f.Format.Size(f.Width, f.Height))
-	if frameBytes >= w.s.opts.RawBlockBytes {
-		return 1
-	}
-	n := int(w.s.opts.RawBlockBytes / frameBytes)
-	if n > w.s.opts.GOPFrames {
-		n = w.s.opts.GOPFrames
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return rawGOPFrames(w.s.rawBlockBytes, f.Format, f.Width, f.Height, w.s.opts.GOPFrames)
 }
 
-// dispatchGOP hands the buffered complete GOP to the encode pipeline, or
-// encodes it inline when the writer is configured serial (EncodeWorkers
-// 1). Blocks only when MaxInflightGOPs GOPs are already in the pipeline.
+// dispatchGOP hands the buffered frames — a complete GOP, or Flush's
+// trailing partial one — to the encode pipeline, starting it on first
+// use. Blocks only when the pipeline is full.
 func (w *Writer) dispatchGOP() error {
-	if w.wopts.EncodeWorkers <= 1 {
-		return w.encodeAndCommitBuf()
+	if len(w.buf) == 0 {
+		return nil
 	}
 	if w.pipe == nil {
-		w.pipe = newIngestPipe(w.s, w.video, w.phys, w.spec, w.wopts)
+		w.pipe = newIngestPipe(w.s, w.video, w.phys, w.spec)
 	}
 	frames := w.buf
 	w.buf = nil // the pipeline owns this slice now
 	return w.pipe.submit(frames)
-}
-
-// encodeAndCommitBuf is the serial path: encode the buffered frames (full
-// or partial GOP) in the calling goroutine — outside the video lock, since
-// encoding is the CPU-heavy part of a write — and commit. Also used by
-// Flush for the trailing partial GOP after the pipeline drains.
-func (w *Writer) encodeAndCommitBuf() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	if w.enc == nil {
-		w.enc = codec.NewEncoder()
-	}
-	w.s.workSem <- struct{}{}
-	data, sum, err := encodeForIngest(w.s, w.enc, w.spec, w.buf)
-	<-w.s.workSem
-	if err != nil {
-		return err
-	}
-	n := len(w.buf)
-	w.buf = w.buf[:0]
-	return w.s.commitGOPs(w.video, w.phys, []encodedGOP{{data: data, frames: n, summary: sum}})
 }
 
 // pipelineErr reports the pipeline's first error, if any, without waiting.
@@ -466,21 +385,21 @@ func (w *Writer) pipelineErr() error {
 	return w.pipe.firstErr()
 }
 
-// Flush persists any buffered partial GOP, making all appended frames
-// readable. It drains the pipeline first: when Flush returns nil, every
-// frame appended so far is durable and visible to readers.
+// Flush persists any buffered partial GOP through the pipeline and
+// drains it: when Flush returns nil, every frame appended so far is
+// durable and visible to readers.
 func (w *Writer) Flush() error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.drain(); err != nil {
-		w.err = err
-		return err
-	}
 	if w.phys == nil {
 		return nil
 	}
-	if err := w.encodeAndCommitBuf(); err != nil {
+	err := w.dispatchGOP()
+	if err == nil {
+		err = w.drain()
+	}
+	if err != nil {
 		w.err = err
 		return err
 	}
@@ -536,14 +455,15 @@ func (w *Writer) Close() error {
 // committer goroutine that restores that order before committing, so the
 // store only ever contains a prefix of the appended GOPs.
 //
-//	Append → jobs → [encode workers × EncodeWorkers] → done → committer
+//	Append → jobs → [encode workers × Options.Workers] → done → committer
 //
 // Workers encode concurrently and finish out of order; the committer holds
 // early arrivals until their predecessors commit. In-flight GOPs are
-// bounded by the sem tokens (MaxInflightGOPs): Append acquires one per
-// submitted GOP and the committer releases it after the GOP commits (or is
-// discarded past an error), which backpressures Append instead of letting
-// ingest buffer unboundedly. The first error in sequence order poisons the
+// bounded by the sem tokens (2*Options.Workers, so roughly that many
+// uncompressed GOPs of memory): Append acquires one per submitted GOP and
+// the committer releases it after the GOP commits (or is discarded past
+// an error), which backpressures Append instead of letting ingest buffer
+// unboundedly. The first error in sequence order poisons the
 // pipe; later GOPs are discarded, never committed, preserving the durable-
 // prefix invariant even across failures.
 type ingestPipe struct {
@@ -570,24 +490,24 @@ type ingestJob struct {
 }
 
 type ingestResult struct {
-	seq    int
-	gop    encodedGOP
-	err    error
-	permit bool // carries an in-flight token to release after commit
+	seq int
+	gop encodedGOP
+	err error
 }
 
-func newIngestPipe(s *Store, video string, phys *PhysMeta, spec WriteSpec, wopts WriteOptions) *ingestPipe {
+func newIngestPipe(s *Store, video string, phys *PhysMeta, spec WriteSpec) *ingestPipe {
+	inflight := 2 * s.opts.Workers
 	p := &ingestPipe{
 		s:      s,
 		video:  video,
 		phys:   phys,
 		spec:   spec,
-		jobs:   make(chan ingestJob, wopts.MaxInflightGOPs),
-		done:   make(chan ingestResult, wopts.MaxInflightGOPs),
-		sem:    make(chan struct{}, wopts.MaxInflightGOPs),
+		jobs:   make(chan ingestJob, inflight),
+		done:   make(chan ingestResult, inflight),
+		sem:    make(chan struct{}, inflight),
 		commit: make(chan struct{}),
 	}
-	for i := 0; i < wopts.EncodeWorkers; i++ {
+	for i := 0; i < s.opts.Workers; i++ {
 		p.workers.Add(1)
 		go p.encodeWorker()
 	}
@@ -599,9 +519,9 @@ func newIngestPipe(s *Store, video string, phys *PhysMeta, spec WriteSpec, wopts
 	return p
 }
 
-// submit hands one complete GOP to the pipeline, blocking while
-// MaxInflightGOPs GOPs are already in flight. The error returned is the
-// pipeline's current first error (submission itself cannot fail).
+// submit hands one GOP to the pipeline, blocking while the in-flight
+// tokens are exhausted. The error returned is the pipeline's current
+// first error (submission itself cannot fail).
 func (p *ingestPipe) submit(frames []*frame.Frame) error {
 	p.sem <- struct{}{}
 	p.inflight.Add(1)
@@ -621,10 +541,9 @@ func (p *ingestPipe) encodeWorker() {
 		data, sum, err := encodeForIngest(p.s, enc, p.spec, job.frames)
 		<-p.s.workSem
 		p.done <- ingestResult{
-			seq:    job.seq,
-			gop:    encodedGOP{data: data, frames: len(job.frames), summary: sum},
-			err:    err,
-			permit: true,
+			seq: job.seq,
+			gop: encodedGOP{data: data, frames: len(job.frames), summary: sum},
+			err: err,
 		}
 	}
 }

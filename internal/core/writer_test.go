@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/codec"
@@ -53,7 +54,8 @@ func TestWriterRejectsDimensionChange(t *testing.T) {
 
 func TestWriterRawBlockSizing(t *testing.T) {
 	// A raw write with a tiny block cap must split GOPs by bytes.
-	s := newStore(t, Options{RawBlockBytes: int64(frame.RGB.Size(32, 24)) * 2, GOPFrames: 30})
+	s := newStore(t, Options{GOPFrames: 30})
+	s.rawBlockBytes = int64(frame.RGB.Size(32, 24)) * 2
 	if err := s.Create("v", -1); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,8 @@ func TestWriterRawBlockSizing(t *testing.T) {
 func TestWriterSingleFrameBlocksForHugeFrames(t *testing.T) {
 	// Frames above the block cap are stored one per GOP (the paper: "a
 	// single frame for resolutions that exceed this threshold").
-	s := newStore(t, Options{RawBlockBytes: 100, GOPFrames: 30})
+	s := newStore(t, Options{GOPFrames: 30})
+	s.rawBlockBytes = 100
 	if err := s.Create("v", -1); err != nil {
 		t.Fatal(err)
 	}
@@ -147,82 +150,89 @@ func TestWriterCloseAfterFailedAppend(t *testing.T) {
 // path: a GOP that cannot be encoded (odd dimensions under a compressed
 // codec) is dispatched to the pipeline, and the error must surface on
 // drain (Flush/Close) as the writer's sticky error with nothing committed
-// after the failure point.
+// after the failure point. One worker is the smallest pipeline.
 func TestWriterPipelineSurfacesEncodeError(t *testing.T) {
-	s := newStore(t, Options{GOPFrames: 2})
-	if err := s.Create("v", 0); err != nil {
-		t.Fatal(err)
-	}
-	w, err := s.OpenWriterWith("v", WriteSpec{FPS: 8, Codec: codec.H264},
-		WriteOptions{EncodeWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Odd dimensions pass the writer's shape check (it only compares
-	// against the first frame) but fail inside the lossy encoder.
-	for i := 0; i < 6; i++ {
-		if err := w.Append(frame.New(33, 25, frame.RGB)); err != nil {
-			// Backpressure may surface the error on a later Append; that
-			// is allowed by the contract.
-			break
-		}
-	}
-	flushErr := w.Flush()
-	if flushErr == nil {
-		t.Fatal("pipeline swallowed the encode error")
-	}
-	if err := w.Close(); err != flushErr {
-		t.Errorf("Close returned %v, want the stored pipeline error %v", err, flushErr)
-	}
-	_, phys, err := s.Info("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(phys[0].GOPs); n != 0 {
-		t.Errorf("%d GOPs committed past an encode failure", n)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := newStore(t, Options{GOPFrames: 2, Workers: workers})
+			if err := s.Create("v", 0); err != nil {
+				t.Fatal(err)
+			}
+			w, err := s.OpenWriter("v", WriteSpec{FPS: 8, Codec: codec.H264})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Odd dimensions pass the writer's shape check (it only compares
+			// against the first frame) but fail inside the lossy encoder.
+			for i := 0; i < 6; i++ {
+				if err := w.Append(frame.New(33, 25, frame.RGB)); err != nil {
+					// Backpressure may surface the error on a later Append; that
+					// is allowed by the contract.
+					break
+				}
+			}
+			flushErr := w.Flush()
+			if flushErr == nil {
+				t.Fatal("pipeline swallowed the encode error")
+			}
+			if err := w.Close(); err != flushErr {
+				t.Errorf("Close returned %v, want the stored pipeline error %v", err, flushErr)
+			}
+			_, phys, err := s.Info("v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(phys[0].GOPs); n != 0 {
+				t.Errorf("%d GOPs committed past an encode failure", n)
+			}
+		})
 	}
 }
 
-// TestWriterPipelinedOrdering checks that a heavily parallel writer still
-// commits GOPs in append order: the stored video must play back as the
-// exact appended sequence.
+// TestWriterPipelinedOrdering checks that a writer commits GOPs in
+// append order whatever its parallelism: the stored video must play back
+// as the exact appended sequence, including the trailing partial GOP that
+// Close sends through the pipeline.
 func TestWriterPipelinedOrdering(t *testing.T) {
-	s := newStore(t, Options{GOPFrames: 4, Workers: 8})
-	if err := s.Create("v", 0); err != nil {
-		t.Fatal(err)
-	}
-	frames := scene(40, 64, 48, 11)
-	w, err := s.OpenWriterWith("v", WriteSpec{FPS: 8, Codec: codec.H264},
-		WriteOptions{EncodeWorkers: 8, MaxInflightGOPs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(frames...); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, phys, err := s.Info("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(phys[0].GOPs); n != 10 {
-		t.Fatalf("GOPs %d, want 10", n)
-	}
-	res, err := s.Read("v", ReadSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FrameCount() != 40 {
-		t.Fatalf("read %d frames, want 40", res.FrameCount())
-	}
-	p, err := quality.FramesPSNR(frames, res.Frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 18 {
-		t.Errorf("decoded PSNR %.1f dB: GOPs committed out of order or corrupted", p)
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := newStore(t, Options{GOPFrames: 4, Workers: workers})
+			if err := s.Create("v", 0); err != nil {
+				t.Fatal(err)
+			}
+			frames := scene(42, 64, 48, 11)
+			w, err := s.OpenWriter("v", WriteSpec{FPS: 8, Codec: codec.H264})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(frames...); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, phys, err := s.Info("v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(phys[0].GOPs); n != 11 {
+				t.Fatalf("GOPs %d, want 11", n)
+			}
+			res, err := s.Read("v", ReadSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FrameCount() != 42 {
+				t.Fatalf("read %d frames, want 42", res.FrameCount())
+			}
+			p, err := quality.FramesPSNR(frames, res.Frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p < 18 {
+				t.Errorf("decoded PSNR %.1f dB: GOPs committed out of order or corrupted", p)
+			}
+		})
 	}
 }
 

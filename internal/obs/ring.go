@@ -104,8 +104,7 @@ type SlowRing struct {
 	floor atomic.Int64
 }
 
-// DefaultSlowTraces is the ring capacity when the serving layer does
-// not configure one.
+// DefaultSlowTraces is the ring capacity the serving layer uses.
 const DefaultSlowTraces = 64
 
 // NewSlowRing builds a ring retaining the n slowest traces (n <= 0

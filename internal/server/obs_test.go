@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/vss"
@@ -231,6 +235,86 @@ func TestPrometheusCoversSnapshot(t *testing.T) {
 	for _, want := range []string{"vss_pipeline_decode_p99_ms", "vss_pipeline_fetch_count"} {
 		if !samples[want] {
 			t.Errorf("missing expected pipeline sample %s", want)
+		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the handler goroutines that
+// log into it while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) lines() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return strings.FieldsFunc(b.buf.String(), func(r rune) bool { return r == '\n' })
+}
+
+// TestRequestLog pins Config.RequestLog (vssd -log-requests): each
+// finished read logs exactly one line on the default slog logger, whose
+// trace field matches the response's X-VSS-Trace header and whose status
+// is the one the client saw. It swaps the process-wide default logger,
+// so it must not run in parallel with other tests.
+func TestRequestLog(t *testing.T) {
+	var out lockedBuffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&out, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	ctx := context.Background()
+	_, c := newTestServer(t, vss.Options{}, Config{RequestLog: true})
+	if err := c.Create(ctx, "cam", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteGOPs(ctx, "cam", 8, encodeGOPs(t, testFootage(16, 48, 32, 8), 8)); err != nil {
+		t.Fatal(err)
+	}
+
+	type logLine struct {
+		Msg    string `json:"msg"`
+		Trace  string `json:"trace"`
+		Video  string `json:"video"`
+		Status int    `json:"status"`
+	}
+	for i, tc := range []struct {
+		video  string
+		status int
+	}{{"cam", http.StatusOK}, {"missing", http.StatusNotFound}} {
+		resp, err := c.do(ctx, http.MethodGet, "/videos/"+tc.video+"/read?codec=h264", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d", tc.video, resp.StatusCode, tc.status)
+		}
+		// The handler logs after the last byte leaves, so the line may
+		// trail the response by a moment.
+		var lines []string
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if lines = out.lines(); len(lines) > i || time.Now().After(deadline) {
+				break
+			}
+		}
+		if len(lines) != i+1 {
+			t.Fatalf("after %d reads the log holds %d lines: %q", i+1, len(lines), lines)
+		}
+		var got logLine
+		if err := json.Unmarshal([]byte(lines[i]), &got); err != nil {
+			t.Fatalf("log line %q: %v", lines[i], err)
+		}
+		want := logLine{Msg: "read", Trace: resp.Header.Get(obs.TraceHeader), Video: tc.video, Status: tc.status}
+		if want.Trace == "" || got != want {
+			t.Errorf("log line %+v, want %+v", got, want)
 		}
 	}
 }

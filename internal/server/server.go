@@ -73,10 +73,6 @@ type Config struct {
 	// CacheBytes bounds the hot-response LRU. 0 disables response
 	// caching; the store's own materialized-view cache still applies.
 	CacheBytes int64
-	// SlowTraces bounds the slow-trace ring served by /debug/traces: the
-	// N slowest recent requests with full per-stage breakdowns. 0
-	// defaults to obs.DefaultSlowTraces.
-	SlowTraces int
 	// RequestLog enables one structured slog line per finished read
 	// (trace ID, video, status, bytes, TTFB, stage breakdown) on the
 	// default logger.
@@ -113,7 +109,7 @@ type Server struct {
 	mux   *http.ServeMux
 
 	pipe   *obs.Pipeline // the store's per-stage histograms (never nil)
-	traces *obs.SlowRing // N slowest recent traces, served by /debug/traces
+	traces *obs.SlowRing // obs.DefaultSlowTraces slowest recent traces, served by /debug/traces
 	log    *slog.Logger  // per-request log, nil unless cfg.RequestLog
 }
 
@@ -127,7 +123,7 @@ func New(sys *vss.System, cfg Config) *Server {
 		cache:  newResponseCache(cfg.CacheBytes),
 		mux:    http.NewServeMux(),
 		pipe:   sys.Store().Pipeline(),
-		traces: obs.NewSlowRing(cfg.SlowTraces),
+		traces: obs.NewSlowRing(obs.DefaultSlowTraces),
 	}
 	if cfg.RequestLog {
 		s.log = slog.Default()

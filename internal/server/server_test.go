@@ -221,6 +221,50 @@ func TestWriteInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestDefaultCodec pins Config.DefaultCodec (vssd -codec): a read that
+// omits codec= is served in the default codec, an explicit codec=raw
+// still means raw, and a defaulted read shares its response-cache entry
+// with the explicit request for the same codec.
+func TestDefaultCodec(t *testing.T) {
+	ctx := context.Background()
+	_, c := newTestServer(t, vss.Options{}, Config{CacheBytes: 1 << 20, DefaultCodec: vss.H264})
+	const fps = 8
+	if err := c.Create(ctx, "cam", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteGOPs(ctx, "cam", fps, encodeGOPs(t, testFootage(16, 48, 32, fps), 8)); err != nil {
+		t.Fatal(err)
+	}
+	hdr, defaulted, err := c.ReadAll(ctx, "cam", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Codec != "h264" || hdr.CacheHit {
+		t.Fatalf("defaulted read: codec %q, cache hit %v; want h264, a miss", hdr.Codec, hdr.CacheHit)
+	}
+	if hdr, _, err = c.ReadAll(ctx, "cam", "codec=raw"); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Codec != "raw" {
+		t.Errorf("explicit codec=raw served %q", hdr.Codec)
+	}
+	hdr, explicit, err := c.ReadAll(ctx, "cam", "codec=h264")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hdr.CacheHit {
+		t.Error("codec=h264 missed the entry the defaulted read cached")
+	}
+	if len(explicit) != len(defaulted) {
+		t.Fatalf("explicit read %d GOPs, defaulted %d", len(explicit), len(defaulted))
+	}
+	for i := range explicit {
+		if !bytes.Equal(explicit[i], defaulted[i]) {
+			t.Fatalf("GOP %d differs between defaulted and explicit read", i)
+		}
+	}
+}
+
 // TestDisconnectCancelsRead verifies the acceptance criterion: a client
 // that disconnects mid-stream cancels its in-flight decode work,
 // observably via the cancellation metric.
@@ -386,15 +430,14 @@ func TestPerClientLimit(t *testing.T) {
 // that every read returns a consistent prefix with no errors.
 func TestConcurrentReadersVsPipelinedWriter(t *testing.T) {
 	ctx := context.Background()
-	sys, c := newTestServer(t, vss.Options{GOPFrames: 8, BudgetMultiple: -1}, Config{CacheBytes: 1 << 20})
+	sys, c := newTestServer(t, vss.Options{GOPFrames: 8, BudgetMultiple: -1, Workers: 2}, Config{CacheBytes: 1 << 20})
 	const fps = 8
 	frames := testFootage(96, 48, 32, fps)
 
 	if err := c.Create(ctx, "cam", -1); err != nil {
 		t.Fatal(err)
 	}
-	w, err := sys.OpenWriterWith("cam", vss.WriteSpec{FPS: fps, Codec: vss.H264, Quality: 85},
-		vss.WriteOptions{EncodeWorkers: 2})
+	w, err := sys.OpenWriter("cam", vss.WriteSpec{FPS: fps, Codec: vss.H264, Quality: 85})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,33 +46,33 @@
 // # Pipelined ingest
 //
 // Within a single Writer, ingest itself is parallel: Append hands each
-// completed GOP to a bounded pool of encode workers (WriteOptions
-// EncodeWorkers, default Options.Workers) and returns without waiting for
-// compression, so a one-camera stream ingests at multi-core speed. The
-// pipeline's contract:
+// completed GOP to a pool of Options.Workers encode workers and returns
+// without waiting for compression, so a one-camera stream ingests at
+// multi-core speed. Every Writer runs this one pipeline, started on the
+// first GOP it encodes. Its contract:
 //
 //   - Ordering: encoded GOPs commit strictly in append order, so readers
-//     only ever observe a durable prefix of the appended frames — the
-//     same prefix-visibility guarantee as serial ingest.
-//   - Bounded memory: at most MaxInflightGOPs GOPs (default
-//     2*EncodeWorkers) are in flight — encoding or awaiting commit —
-//     before Append blocks for backpressure.
+//     only ever observe a durable prefix of the appended frames.
+//   - Bounded memory: at most 2*Options.Workers GOPs are in flight —
+//     encoding or awaiting commit — before Append blocks for
+//     backpressure.
 //   - Errors: because encoding is asynchronous, an encode or commit
 //     failure may surface on a later Append or on Flush/Close, which
 //     drain the pipeline and deterministically report the first error in
 //     append order; the writer is then poisoned and GOPs after the
 //     failure point are never committed.
-//   - Flush drains the pipeline and persists any partial GOP: when it
-//     returns nil, every appended frame is durable and readable. Close
-//     does the same, then releases the pipeline's workers.
+//   - Flush sends any partial GOP through the same pipeline and drains
+//     it: when it returns nil, every appended frame is durable and
+//     readable. Close does the same, then releases the pipeline's
+//     workers.
 //   - Frame ownership: the writer borrows appended frames until the next
 //     successful Flush (or Close) — complete GOPs are read by encode
 //     workers after Append returns. Do not mutate or recycle a frame
 //     buffer passed to Append before draining; allocate or Clone a fresh
 //     frame per Append instead.
-//   - EncodeWorkers: 1 restores the serial inline-encode path exactly
-//     (deterministic profiling); whatever the setting, encode work shares
-//     the store-wide Options.Workers CPU budget with the read pipeline.
+//   - CPU budget: encode work shares the store-wide Options.Workers
+//     semaphore with the read pipeline, so writers and readers together
+//     never exceed it.
 //
 // # Streaming reads and serving
 //
@@ -194,8 +194,9 @@ func CodecNames() string { return codec.Names() }
 func NewFrame(w, h int, format PixelFormat) *Frame { return frame.New(w, h, format) }
 
 // Options configure a System; see core.Options for the full set of knobs
-// (budget multiple, eviction weights, planner/baseline toggles, and
-// Workers, which bounds the parallel read pipeline's CPU fan-out).
+// (budget multiple, GOP length, storage backend, the paper's baseline
+// toggles, and Workers, which bounds the CPU fan-out of reads and of
+// each Writer's encode pipeline).
 type Options = core.Options
 
 // Spatial, Temporal, and Physical are the S/T/P parameter groups of the
@@ -211,13 +212,6 @@ type (
 	ReadSpec  = core.ReadSpec
 	WriteSpec = core.WriteSpec
 )
-
-// WriteOptions tune a Writer's pipelined ingest engine: EncodeWorkers
-// bounds the parallel GOP encoders (0 = Options.Workers, 1 = serial
-// inline encoding) and MaxInflightGOPs bounds buffered GOPs before
-// Append blocks (0 = 2*EncodeWorkers). See the package concurrency notes
-// for the full pipeline contract.
-type WriteOptions = core.WriteOptions
 
 // ReadResult carries the frames or encoded GOPs a read produced.
 type ReadResult = core.ReadResult
@@ -441,16 +435,9 @@ func (s *System) WriteEncoded(name string, fps int, gops [][]byte) error {
 }
 
 // OpenWriter starts a streaming write; frames become readable GOP by GOP.
-// Ingest is pipelined with default WriteOptions (encode workers sized to
-// Options.Workers); use OpenWriterWith to tune or disable the pipeline.
+// Ingest is pipelined: Options.Workers encode workers per Writer.
 func (s *System) OpenWriter(name string, spec WriteSpec) (*Writer, error) {
 	return s.store.OpenWriter(name, spec)
-}
-
-// OpenWriterWith starts a streaming write with explicit ingest-pipeline
-// tuning.
-func (s *System) OpenWriterWith(name string, spec WriteSpec, opts WriteOptions) (*Writer, error) {
-	return s.store.OpenWriterWith(name, spec, opts)
 }
 
 // Read executes a read with spatial, temporal, and physical parameters,

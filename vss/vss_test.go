@@ -96,10 +96,13 @@ func TestPublicAPIStreamingWriter(t *testing.T) {
 }
 
 func TestPublicAPIPipelinedWriter(t *testing.T) {
-	sys := openSys(t)
+	sys, err := vss.Open(t.TempDir(), vss.Options{GOPFrames: 8, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
 	sys.Create("live", 0)
-	w, err := sys.OpenWriterWith("live", vss.WriteSpec{FPS: 8, Codec: vss.H264},
-		vss.WriteOptions{EncodeWorkers: 3, MaxInflightGOPs: 5})
+	w, err := sys.OpenWriter("live", vss.WriteSpec{FPS: 8, Codec: vss.H264})
 	if err != nil {
 		t.Fatal(err)
 	}
