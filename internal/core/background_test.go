@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,5 +159,75 @@ func TestStartBackgroundStopWaits(t *testing.T) {
 	case <-stopped:
 	case <-time.After(10 * time.Second):
 		t.Fatal("stop did not return after the pass finished")
+	}
+}
+
+// sweepFailBackend is a backend whose temp sweep always fails, so every
+// Maintain pass reports an error.
+type sweepFailBackend struct{ storage.Backend }
+
+func (sweepFailBackend) SweepTemps(time.Duration) error { return errors.New("injected sweep failure") }
+
+// waitBackground polls the store's background counters until ok holds.
+func waitBackground(t *testing.T, s *Store, ok func(BackgroundStats) bool) BackgroundStats {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := s.BackgroundStats()
+		if ok(st) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("background counters never got there: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBackgroundStatsMaintainFailures: a Maintain pass that fails is
+// counted, and its error kept, instead of dropped.
+func TestBackgroundStatsMaintainFailures(t *testing.T) {
+	s := newStore(t, Options{GOPFrames: 8, Backend: sweepFailBackend{storage.NewMem()}})
+	writeVideo(t, s, "v", scene(16, 64, 48, 5), 8, codec.H264)
+	stop := s.StartBackground(5 * time.Millisecond)
+	defer stop()
+	waitBackground(t, s, func(st BackgroundStats) bool { return st.Maintain.Passes >= 2 })
+	stop()
+	st := s.BackgroundStats()
+	if st.Maintain.Failures != st.Maintain.Passes {
+		t.Errorf("%d of %d Maintain passes failed, want all", st.Maintain.Failures, st.Maintain.Passes)
+	}
+	if !strings.Contains(st.Maintain.LastError, "injected sweep failure") {
+		t.Errorf("last Maintain error %q", st.Maintain.LastError)
+	}
+	if st.Maintain.LastMillis < 0 || st.Repair != (PassStats{}) {
+		t.Errorf("stats %+v", st)
+	}
+}
+
+// TestBackgroundStatsRepairFailures: journal drains that fail against a
+// member still refusing writes are counted with their error; once the
+// member recovers, passes succeed and the last error stays on record.
+func TestBackgroundStatsRepairFailures(t *testing.T) {
+	shortRepairInterval(t)
+	s, ring, gated, _ := openDegradedRing(t)
+	gated.fail.Store(true)
+	stop := s.StartBackground(0)
+	defer stop()
+	st := waitBackground(t, s, func(st BackgroundStats) bool { return st.Repair.Failures >= 1 })
+	if !strings.Contains(st.Repair.LastError, "injected write failure") {
+		t.Errorf("last repair error %q", st.Repair.LastError)
+	}
+	gated.fail.Store(false)
+	failed := st.Repair.Failures
+	st = waitBackground(t, s, func(st BackgroundStats) bool {
+		return st.Repair.Passes > st.Repair.Failures && ring.FleetStats().JournalDepth == 0
+	})
+	stop()
+	if st.Repair.Failures < failed || st.Repair.LastError == "" {
+		t.Errorf("a successful pass rewrote the failure record: %+v", st.Repair)
+	}
+	if st.Maintain != (PassStats{}) {
+		t.Errorf("interval 0 ran Maintain: %+v", st.Maintain)
 	}
 }

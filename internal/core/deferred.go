@@ -212,6 +212,46 @@ func (s *Store) snapshotCatalog() error {
 // backend's write-repair journal; a variable so tests can shorten it.
 var repairInterval = 5 * time.Second
 
+// PassStats counts one kind of background pass since the store opened.
+type PassStats struct {
+	Passes   int64 `json:"passes"`
+	Failures int64 `json:"failures"`
+	// LastError is the most recent failure's message ("" before any).
+	LastError string `json:"last_error"`
+	// LastMillis is how long the most recent pass took.
+	LastMillis float64 `json:"last_ms"`
+}
+
+// BackgroundStats reports the passes of the store's background loop
+// (StartBackground): Maintain, and the write-repair journal drain.
+type BackgroundStats struct {
+	Maintain PassStats `json:"maintain"`
+	Repair   PassStats `json:"repair"`
+}
+
+// BackgroundStats snapshots the background loop's pass counters. Safe
+// for concurrent use.
+func (s *Store) BackgroundStats() BackgroundStats {
+	s.bgMu.Lock()
+	defer s.bgMu.Unlock()
+	return s.bg
+}
+
+// runPass runs one background pass and records its outcome in st.
+func (s *Store) runPass(st *PassStats, pass func() error) {
+	start := time.Now()
+	err := pass()
+	d := time.Since(start)
+	s.bgMu.Lock()
+	defer s.bgMu.Unlock()
+	st.Passes++
+	st.LastMillis = float64(d) / float64(time.Millisecond)
+	if err != nil {
+		st.Failures++
+		st.LastError = err.Error()
+	}
+}
+
 // StartBackground runs the store's one background loop until the
 // returned stop function is called: Maintain every interval (never when
 // interval <= 0) and, when the backend keeps two or more copies of each
@@ -219,7 +259,8 @@ var repairInterval = 5 * time.Second
 // goroutine starts when there is nothing to do. stop (idempotent)
 // returns after any in-flight pass, so the store may be closed right
 // after it. Both passes are best-effort: a failed Maintain is retried on
-// the next tick, and failed repairs re-queue.
+// the next tick, and failed repairs re-queue. BackgroundStats reports
+// every pass, its duration and the last failure.
 func (s *Store) StartBackground(interval time.Duration) (stop func()) {
 	sc := storage.AsScrubber(s.files)
 	drain := sc != nil && sc.ReplicationStats().Replicas >= 2
@@ -245,9 +286,12 @@ func (s *Store) StartBackground(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-maintain:
-				_ = s.Maintain()
+				s.runPass(&s.bg.Maintain, s.Maintain)
 			case <-repair:
-				_, _ = sc.Repair()
+				s.runPass(&s.bg.Repair, func() error {
+					_, err := sc.Repair()
+					return err
+				})
 			}
 		}
 	}()

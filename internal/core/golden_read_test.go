@@ -84,6 +84,8 @@ func queryLine(g *goldenHash, n int, st QueryStats) string {
 // admitted compressed GOP, so the estimator's final size pins which reads
 // sample. The budget is unlimited, so the freeze covers the read paths
 // alone (TestLRUOrderReplays covers eviction and deferred compression).
+// Each predicate read runs a second time on the same store, served from
+// the analysis memo, and must reproduce its line.
 func TestReadGolden(t *testing.T) {
 	s := newStore(t, Options{GOPFrames: 8, Workers: 2, BudgetMultiple: -1})
 	s.qualitySampleEvery = 1
@@ -136,45 +138,62 @@ func TestReadGolden(t *testing.T) {
 			g.frame(m.Frame)
 		}
 	}
+	// Every predicate case runs twice: the second read finds each decoded
+	// GOP's analysis in the memo and must produce the same line.
+	twice := func(name string, run func() (string, QueryStats)) string {
+		line, _ := run()
+		again, st := run()
+		if again != line {
+			t.Errorf("%s: memo-served read differs:\n first  %q\n second %q", name, line, again)
+		}
+		if st.AnalysisReused != st.GOPsDecoded {
+			t.Errorf("%s: second read reused %d of %d decoded GOPs' analyses", name, st.AnalysisReused, st.GOPsDecoded)
+		}
+		return line
+	}
 	where := func(predStr string, t0, t1 float64) string {
 		pred, err := ParsePredicate(predStr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.ReadWhere("q", pred, t0, t1)
-		if err != nil {
-			t.Fatalf("ReadWhere %q: %v", predStr, err)
-		}
-		g := newGoldenHash()
-		g.ints(res.Width, res.Height, res.FPS)
-		hashMatches(g, res.Matches)
-		return queryLine(g, len(res.Matches), res.Stats)
+		return twice(predStr, func() (string, QueryStats) {
+			res, err := s.ReadWhere("q", pred, t0, t1)
+			if err != nil {
+				t.Fatalf("ReadWhere %q: %v", predStr, err)
+			}
+			g := newGoldenHash()
+			g.ints(res.Width, res.Height, res.FPS)
+			hashMatches(g, res.Matches)
+			return queryLine(g, len(res.Matches), res.Stats), res.Stats
+		})
 	}
 	streamWhere := func(predStr string, t0, t1 float64) string {
 		pred, err := ParsePredicate(predStr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := s.ReadStreamWhere(context.Background(), "q", pred, t0, t1)
-		if err != nil {
-			t.Fatalf("ReadStreamWhere %q: %v", predStr, err)
-		}
-		defer st.Close()
-		g := newGoldenHash()
-		g.ints(st.Width, st.Height, st.FPS)
-		n := 0
-		for {
-			b, err := st.Next()
-			if err == io.EOF {
-				break
-			}
+		return twice(predStr, func() (string, QueryStats) {
+			st, err := s.ReadStreamWhere(context.Background(), "q", pred, t0, t1)
 			if err != nil {
 				t.Fatalf("ReadStreamWhere %q: %v", predStr, err)
 			}
-			hashMatches(g, b.Matches)
-			n += len(b.Matches)
-		}
-		return queryLine(g, n, st.Stats())
+			defer st.Close()
+			g := newGoldenHash()
+			g.ints(st.Width, st.Height, st.FPS)
+			n := 0
+			for {
+				b, err := st.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("ReadStreamWhere %q: %v", predStr, err)
+				}
+				hashMatches(g, b.Matches)
+				n += len(b.Matches)
+			}
+			return queryLine(g, n, st.Stats()), st.Stats()
+		})
 	}
 
 	hevc := Physical{Codec: codec.HEVC}

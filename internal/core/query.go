@@ -34,6 +34,13 @@ import (
 //     RGB read of the same video filtered client-side with
 //     AnalyzeFrames, which the parity suite pins. ReadWhere drains the
 //     stream ReadStreamWhere returns.
+//  4. The per-frame analysis the exact predicate needs (motion and
+//     detections, analyzeRGB) is looked up in the store's analysis memo
+//     (memo.go) first, under a SHA-256 of the bytes and recipe the unit
+//     actually decoded. A GOP analysed since the store opened skips
+//     detection and motion; only its matched frames are converted for
+//     delivery. A rewrite that changes the pixels changes the key, so
+//     the memo never serves an analysis of other pixels.
 //
 // Predicate reads always scan the original physical view: summaries are
 // computed from the original's reconstructed frames, and evaluating
@@ -61,6 +68,10 @@ type QueryStats struct {
 	FramesMatched int
 	// BytesRead is the stored bytes fetched.
 	BytesRead int64
+	// AnalysisReused is how many of the decoded GOPs took their
+	// per-frame analysis from the store's memo instead of running
+	// detection and motion again.
+	AnalysisReused int
 }
 
 // Match is one frame satisfying the predicate.
@@ -98,6 +109,7 @@ type queryUnit struct {
 	// Phase-B outputs.
 	matches []Match
 	scanned int
+	reused  bool // the analysis came from the memo
 }
 
 // queryJob carries one predicate read from phase A to phase B.
@@ -241,11 +253,12 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 				return err
 			}
 			dj := &decodeJob{
-				snap: snap,
-				key:  jobKey{video: video, phys: orig.ID, seq: g.Seq, from: 0, to: -1},
-				ctr:  &job.ctr,
-				from: 0,
-				to:   -1,
+				snap:  snap,
+				key:   jobKey{video: video, phys: orig.ID, seq: g.Seq, from: 0, to: -1},
+				ctr:   &job.ctr,
+				from:  0,
+				to:    -1,
+				keyed: true,
 			}
 			job.units = append(job.units, &queryUnit{job: dj, start: g.StartFrame, lo: lo, hi: hi})
 		}
@@ -261,11 +274,20 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 }
 
 // scan applies the exact predicate to the unit's decoded frames. The
-// analysis runs on the RGB conversions — the same frame.Convert the raw
-// read path applies — so matched frames are byte-identical to a full
-// raw RGB read filtered client-side.
-func (u *queryUnit) scan(pred Predicate, fps int) {
-	rgb, infos := analyzeRGB(u.job.frames)
+// analysis comes from the memo when these pixels were analysed before;
+// otherwise it runs on the RGB conversions — the same frame.Convert the
+// raw read path applies — and is memoized. Either way matched frames are
+// byte-identical to a full raw RGB read filtered client-side.
+func (u *queryUnit) scan(memo *analysisMemo, pred Predicate, fps int) {
+	frames := u.job.frames
+	infos, reused := memo.get(u.job.inputKey)
+	var rgb []*frame.Frame
+	if reused {
+		u.reused = true
+	} else {
+		rgb, infos = analyzeRGB(frames)
+		memo.put(u.job.inputKey, infos)
+	}
 	hi := u.hi
 	if hi > len(infos) {
 		hi = len(infos)
@@ -275,11 +297,17 @@ func (u *queryUnit) scan(pred Predicate, fps int) {
 		if !pred.Match(infos[j]) {
 			continue
 		}
+		var f *frame.Frame
+		if reused {
+			f = toRGB(frames[j])
+		} else {
+			f = rgb[j]
+		}
 		idx := u.start + j
 		u.matches = append(u.matches, Match{
 			Index: idx,
 			Time:  float64(idx) / float64(fps),
-			Frame: rgb[j],
+			Frame: f,
 			Info:  infos[j],
 		})
 	}
@@ -327,7 +355,7 @@ func (s *Store) openQueryStream(ctx context.Context, video string, pred Predicat
 		if err := u.job.run(ctx, s); err != nil {
 			return err
 		}
-		u.scan(pred, job.fps)
+		u.scan(s.memo, pred, job.fps)
 		return nil
 	})
 	return st, nil
@@ -345,6 +373,9 @@ func (st *QueryStream) Next() (*QueryBatch, error) {
 		u := st.job.units[i]
 		st.stats.FramesScanned += u.scanned
 		st.stats.FramesMatched += len(u.matches)
+		if u.reused {
+			st.stats.AnalysisReused++
+		}
 		if len(u.matches) > 0 {
 			return &QueryBatch{Matches: u.matches}, nil
 		}

@@ -158,6 +158,12 @@ type decodeJob struct {
 	decoded  int      // GOP streams decoded, for the read's stats
 	codecID  codec.ID // codec the bytes decoded through, for per-codec metrics
 
+	// keyed asks decode to name the snapshot it decoded in inputKey, the
+	// analysis memo's key. Only predicate reads set it: other reads do
+	// not pay for the hash.
+	keyed    bool
+	inputKey memoKey
+
 	once   sync.Once    // run guard
 	runErr error        // result of the once'd run
 	refs   atomic.Int32 // units still needing frames
@@ -191,6 +197,9 @@ func (j *decodeJob) run(ctx context.Context, s *Store) error {
 func (j *decodeJob) decode(snap gopSnap) error {
 	frames, decoded, id, err := decodeSnap(snap, j.from, j.to)
 	j.frames, j.decoded, j.codecID = frames, decoded, id
+	if err == nil && j.keyed {
+		j.inputKey = snap.inputKey(j.from, j.to)
+	}
 	return err
 }
 

@@ -195,6 +195,11 @@ type Store struct {
 
 	sampleMu      sync.Mutex // guards sampleCounter (est locks itself)
 	sampleCounter int
+
+	memo *analysisMemo // per-GOP analyses predicate reads reuse (memo.go)
+
+	bgMu sync.Mutex      // guards bg
+	bg   BackgroundStats // the background loop's passes (deferred.go)
 }
 
 // ErrNotFound is returned for operations on unknown videos.
@@ -246,6 +251,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		rawBlockBytes:      defaultRawBlockBytes,
 		deferredThreshold:  defaultDeferredThreshold,
 		qualitySampleEvery: defaultQualitySampleEvery,
+		memo:               newAnalysisMemo(analysisMemoBytes),
 	}
 	s.workSem = make(chan struct{}, s.opts.Workers)
 	if err := s.load(); err != nil {

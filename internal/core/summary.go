@@ -69,11 +69,7 @@ func AnalyzeFrames(frames []*frame.Frame) []FrameInfo {
 func analyzeRGB(frames []*frame.Frame) ([]*frame.Frame, []FrameInfo) {
 	rgb := make([]*frame.Frame, len(frames))
 	for i, f := range frames {
-		if f.Format == frame.RGB {
-			rgb[i] = f
-		} else {
-			rgb[i] = f.Convert(frame.RGB)
-		}
+		rgb[i] = toRGB(f)
 	}
 	infos := make([]FrameInfo, len(frames))
 	for i := range rgb {
@@ -83,6 +79,15 @@ func analyzeRGB(frames []*frame.Frame) ([]*frame.Frame, []FrameInfo) {
 		infos[i].Detections = detect.Vehicles(rgb[i])
 	}
 	return rgb, infos
+}
+
+// toRGB is the one conversion predicate reads deliver frames through:
+// RGB input as is, anything else through frame.Convert.
+func toRGB(f *frame.Frame) *frame.Frame {
+	if f.Format == frame.RGB {
+		return f
+	}
+	return f.Convert(frame.RGB)
 }
 
 // meanAbsDiff is the mean absolute byte difference between two equal-size

@@ -1,16 +1,14 @@
 package core
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/visualroad"
-)
-
-// BenchmarkSummarizeGOP measures ingest-time summarization of one GOP of
-// a busy synthetic scene — the per-GOP cost every write with summaries
-// enabled pays on top of encoding.
+// BenchmarkSummarizeGOP measures ingest-time summarization of one GOP:
+// what every compressed write pays on top of encoding. Ingest analyses the
+// encoder's reconstruction, so the input is the h264 q85 reconstruction
+// of a busy visualroad scene at 480x272 (YUV420), and the conversion back
+// to RGB is part of the measured cost.
 func BenchmarkSummarizeGOP(b *testing.B) {
-	frames := visualroad.Generate(visualroad.Config{Width: 240, Height: 136, FPS: 8, Seed: 11, Vehicles: 6}, 8)
+	frames := reconGOP(b, 1, 0)
 	var bytes int64
 	for _, f := range frames {
 		bytes += int64(len(f.Data))

@@ -43,6 +43,7 @@ type metrics struct {
 	queryGOPsDecoded    atomic.Int64
 	queryFramesScanned  atomic.Int64
 	queryFramesMatched  atomic.Int64
+	queryAnalysisReused atomic.Int64
 }
 
 // ReadMetrics is the reads section of a metrics snapshot.
@@ -124,6 +125,9 @@ type PredicateMetrics struct {
 	// evaluations and hits.
 	FramesScanned int64 `json:"frames_scanned"`
 	FramesMatched int64 `json:"frames_matched"`
+	// AnalysisReused counts decoded GOPs whose per-frame analysis came
+	// from the store's memo instead of running detection again.
+	AnalysisReused int64 `json:"analysis_reused"`
 	// SkipRate is skipped/considered; Selectivity is matched/scanned.
 	SkipRate    float64 `json:"skip_rate"`
 	Selectivity float64 `json:"selectivity"`
@@ -169,4 +173,8 @@ type MetricsSnapshot struct {
 	// repair/scrub counters (vss.ClusterStats, sampled at snapshot
 	// time).
 	Cluster *vss.ClusterStats `json:"cluster,omitempty"`
+	// Background is the store's background loop: Maintain and
+	// write-repair passes, failures, the last error and the last pass's
+	// duration (vss.BackgroundStats, sampled at snapshot time).
+	Background vss.BackgroundStats `json:"background"`
 }

@@ -125,8 +125,9 @@ func TestQueryParamValidation(t *testing.T) {
 }
 
 // TestQueryMetrics verifies predicate reads surface in the /metrics
-// predicate section: query counts, planner skip counters, and scan
-// selectivity all move.
+// predicate section: query counts, planner skip counters, scan
+// selectivity, and — for a repeated query — analyses reused from the
+// store's memo all move.
 func TestQueryMetrics(t *testing.T) {
 	ctx := context.Background()
 	sys, c := newTestServer(t, vss.Options{}, Config{})
@@ -142,10 +143,13 @@ func TestQueryMetrics(t *testing.T) {
 	if _, _, err := c.Query(ctx, "cam", "motion > 1000", 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := c.Query(ctx, "cam", "count >= 1", 0, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	// The handler folds a query's counters in after it has written the
 	// response terminator, so the client can be back here first: wait for
-	// both completions to land before reading the rest.
+	// every completion to land before reading the rest.
 	var snap MetricsSnapshot
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		resp, err := c.HTTP.Get(c.Base + "/metrics")
@@ -157,16 +161,16 @@ func TestQueryMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.Predicate.Completed >= 2 || time.Now().After(deadline) {
+		if snap.Predicate.Completed >= 3 || time.Now().After(deadline) {
 			break
 		}
 	}
 	p := snap.Predicate
-	if p.Queries != 2 || p.Completed != 2 {
-		t.Errorf("queries %d/%d completed, want 2/2", p.Queries, p.Completed)
+	if p.Queries != 3 || p.Completed != 3 {
+		t.Errorf("queries %d/%d completed, want 3/3", p.Queries, p.Completed)
 	}
-	if p.GOPsConsidered != 16 { // 8 candidate GOPs per query
-		t.Errorf("gops_considered %d, want 16", p.GOPsConsidered)
+	if p.GOPsConsidered != 24 { // 8 candidate GOPs per query
+		t.Errorf("gops_considered %d, want 24", p.GOPsConsidered)
 	}
 	// motion > 1000 is refuted by every summary: all its GOPs skip.
 	if p.GOPsSkipped < 8 {
@@ -177,6 +181,11 @@ func TestQueryMetrics(t *testing.T) {
 	}
 	if p.FramesScanned == 0 || p.SkipRate <= 0 {
 		t.Errorf("frames_scanned %d, skip_rate %g", p.FramesScanned, p.SkipRate)
+	}
+	// The repeat decodes what the first query decoded, and reuses all
+	// of its analyses.
+	if p.GOPsDecoded == 0 || p.AnalysisReused*2 != p.GOPsDecoded {
+		t.Errorf("analysis_reused %d of %d decoded GOPs, want half", p.AnalysisReused, p.GOPsDecoded)
 	}
 
 	// The Prometheus exposition carries the same section.
@@ -189,7 +198,7 @@ func TestQueryMetrics(t *testing.T) {
 	if _, err := buf.ReadFrom(resp2.Body); err != nil {
 		t.Fatal(err)
 	}
-	for _, metric := range []string{"vss_predicate_queries", "vss_predicate_gops_skipped"} {
+	for _, metric := range []string{"vss_predicate_queries", "vss_predicate_gops_skipped", "vss_predicate_analysis_reused", "vss_background_maintain_passes"} {
 		if !bytes.Contains(buf.Bytes(), []byte(metric)) {
 			t.Errorf("prometheus exposition missing %s", metric)
 		}

@@ -779,6 +779,7 @@ func (s *Server) noteQueryStats(st *vss.QueryStream) {
 	s.m.queryGOPsDecoded.Add(int64(qs.GOPsDecoded))
 	s.m.queryFramesScanned.Add(int64(qs.FramesScanned))
 	s.m.queryFramesMatched.Add(int64(qs.FramesMatched))
+	s.m.queryAnalysisReused.Add(int64(qs.AnalysisReused))
 	s.m.gopsDecoded.Add(int64(qs.GOPsDecoded))
 	s.m.bytesRead.Add(qs.BytesRead)
 }
@@ -915,10 +916,12 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 			GOPsDecoded:    s.m.queryGOPsDecoded.Load(),
 			FramesScanned:  s.m.queryFramesScanned.Load(),
 			FramesMatched:  s.m.queryFramesMatched.Load(),
+			AnalysisReused: s.m.queryAnalysisReused.Load(),
 		},
-		Pipeline: s.pipe.Snapshot(),
-		Videos:   make(map[string]VideoMetrics),
-		Storage:  s.sys.BackendStats(),
+		Pipeline:   s.pipe.Snapshot(),
+		Videos:     make(map[string]VideoMetrics),
+		Storage:    s.sys.BackendStats(),
+		Background: s.sys.BackgroundStats(),
 	}
 	// A routed store reports the cluster section; the generic replication
 	// section it also implements (nodes relabeled as shards) would repeat

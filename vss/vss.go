@@ -329,6 +329,15 @@ type ClusterStats = storage.ClusterStats
 // NodeHealthStats is one node's row in ClusterStats.
 type NodeHealthStats = storage.NodeHealthStats
 
+// BackgroundStats reports the passes of the background loop
+// StartBackground runs — Maintain and the write-repair journal drain —
+// as PassStats: passes, failures, the last error and the last pass's
+// duration; see System.BackgroundStats.
+type BackgroundStats = core.BackgroundStats
+
+// PassStats counts one kind of background pass in BackgroundStats.
+type PassStats = core.PassStats
+
 // NewLocalBackend opens (creating if necessary) a single-root localfs
 // backend — the default physical layout, one directory tree under root.
 func NewLocalBackend(root string) (Backend, error) { return storage.Open(root) }
@@ -518,6 +527,11 @@ func (s *System) Maintain() error { return s.store.Maintain() }
 func (s *System) StartBackground(interval time.Duration) (stop func()) {
 	return s.store.StartBackground(interval)
 }
+
+// BackgroundStats snapshots the background loop's pass counters. Safe
+// for concurrent use; also served by vssd /metrics as the "background"
+// section.
+func (s *System) BackgroundStats() BackgroundStats { return s.store.BackgroundStats() }
 
 // Store exposes the underlying storage manager for experiments and
 // advanced integrations (e.g. the benchmark harness).
