@@ -113,8 +113,9 @@
 // <store>/catalog. On the read side, GOP bytes are fetched by an
 // asynchronous IO-prefetch stage that runs ahead of the decode workers
 // with a bounded look-ahead window (2*Workers), overlapping backend or
-// shard IO with decode for both batch and streaming reads; a prefetched
-// GOP that changed identity mid-flight (evicted, jointly compressed,
-// lossless-recompressed) is detected per GOP and re-snapshotted under
-// the video lock. See examples/sharded for a multi-root walkthrough.
+// shard IO with decode for both batch and streaming reads. A read pins
+// the GOPs it planned until it has fetched them, and maintenance
+// (eviction, deferred and joint compression, compaction) leaves pinned
+// GOPs for a later pass, so a read plans once and never retries. See
+// examples/sharded for a multi-root walkthrough.
 package repro

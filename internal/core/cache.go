@@ -260,9 +260,11 @@ func (s *Store) evictLocked(vs *videoState) error {
 	cands := s.scorePagesLocked(vs, gamma, zeta, func(p *PhysMeta, g *GOPMeta) bool {
 		// The originally written video is the guaranteed baseline cover
 		// (and may have an open streaming writer); its pages carry
-		// b(f) = +inf. Jointly compressed pages are pinned: the partner
-		// video needs the shared overlap stream to reconstruct.
-		return !p.Orig && g.Joint == nil
+		// b(f) = +inf. Jointly compressed pages stay: the partner video
+		// needs the shared overlap stream to reconstruct. Pages a running
+		// read has planned stay for this pass; that read gave them its
+		// fresh LRU tick, so they sit at the end of the order anyway.
+		return !p.Orig && g.Joint == nil && !s.pins.pinned(v.Name, p, g)
 	})
 
 	dirty := map[int]*PhysMeta{}

@@ -86,14 +86,12 @@ func (s *Store) FindJointCandidates() ([]PairCandidate, int, error) {
 			if p == nil {
 				return
 			}
-			var stats ReadStats
-			c := &snapCollector{stats: &stats, eager: true}
 			for i := range p.GOPs {
 				g := &p.GOPs[i]
 				if g.Joint != nil || g.DupOf != nil {
 					continue
 				}
-				snap, err := s.snapshotGOP(held, vs, p, g, c)
+				snap, err := s.loadGOPLocked(context.Background(), held, vs, p, g)
 				if err != nil {
 					continue // unreadable page: skip it, not the sweep
 				}
@@ -110,11 +108,7 @@ func (s *Store) FindJointCandidates() ([]PairCandidate, int, error) {
 			if len(frames) == 0 {
 				return fmt.Errorf("core: empty GOP %s/%d/%d", snaps[i].ref.Video, snaps[i].ref.Phys, snaps[i].ref.Seq)
 			}
-			f := frames[0]
-			if f.Format != frame.RGB {
-				f = f.Convert(frame.RGB)
-			}
-			firsts[i] = f
+			firsts[i] = toRGB(frames[0])
 			return nil
 		}); err != nil {
 			return nil, 0, err
@@ -218,8 +212,7 @@ func (s *Store) FeatureMatchCheck(a, b GOPRef) (bool, error) {
 // firstFrameIn is firstFrameHeld generalized to a held lock set, so it can
 // chase duplicate/joint references (expanding the set via withVideos).
 func (s *Store) firstFrameIn(held map[string]*videoState, vs *videoState, p *PhysMeta, g *GOPMeta) (*frame.Frame, error) {
-	var stats ReadStats
-	snap, err := s.snapshotGOP(held, vs, p, g, &snapCollector{stats: &stats, eager: true})
+	snap, err := s.loadGOPLocked(context.Background(), held, vs, p, g)
 	if err != nil {
 		return nil, err
 	}
@@ -230,11 +223,7 @@ func (s *Store) firstFrameIn(held map[string]*videoState, vs *videoState, p *Phy
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("core: empty GOP %s/%d/%d", vs.meta.Name, p.ID, g.Seq)
 	}
-	f := frames[0]
-	if f.Format != frame.RGB {
-		f = f.Convert(frame.RGB)
-	}
-	return f, nil
+	return toRGB(frames[0]), nil
 }
 
 // JointCompressAll runs the full pipeline — discovery then compression —

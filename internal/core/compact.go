@@ -53,6 +53,16 @@ func mergeable(p *PhysMeta) bool {
 	return len(p.GOPs) > 0
 }
 
+// pinnedAny reports whether a running read has planned any page of p.
+func (s *Store) pinnedAny(vs *videoState, p *PhysMeta) bool {
+	for i := range p.GOPs {
+		if s.pins.pinned(vs.meta.Name, p, &p.GOPs[i]) {
+			return true
+		}
+	}
+	return false
+}
+
 // findCompactablePairLocked returns (a, b) where b starts exactly where a
 // ends, or (nil, nil). Caller holds the video's lock.
 func (s *Store) findCompactablePairLocked(vs *videoState) (*PhysMeta, *PhysMeta) {
@@ -67,7 +77,9 @@ func (s *Store) findCompactablePairLocked(vs *videoState) (*PhysMeta, *PhysMeta)
 			continue
 		}
 		for _, b := range vs.phys {
-			if a.ID == b.ID || !compatible(a, b) || !mergeable(b) {
+			// Merging deletes b's directory, so a b with pages a running
+			// read planned waits for a later pass.
+			if a.ID == b.ID || !compatible(a, b) || !mergeable(b) || s.pinnedAny(vs, b) {
 				continue
 			}
 			if len(coverage(b)) != 1 {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,44 +172,103 @@ func TestConcurrentReadWriteMaintain(t *testing.T) {
 
 // TestConcurrentReadsOfDeletedVideo checks the delete/read race contract:
 // a read either completes with data or fails with ErrNotFound — never a
-// partial result or an internal error.
+// partial result or an internal error. Streams are held to the same
+// contract: one that lost the race may have delivered frames before it
+// reports ErrNotFound, but never ends early without it.
 func TestConcurrentReadsOfDeletedVideo(t *testing.T) {
-	s := newStore(t, Options{GOPFrames: 8})
-	writeVideo(t, s, "v", scene(16, 64, 48, 5), 8, codec.H264)
-
-	var wg sync.WaitGroup
-	errc := make(chan error, 16)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	pred, err := ParsePredicate("count >= 0") // every frame matches
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each input reads all of "v" and returns the frames it delivered.
+	inputs := []struct {
+		name string
+		read func(s *Store) (int, error)
+	}{
+		{"Read", func(s *Store) (int, error) {
+			res, err := s.Read("v", ReadSpec{})
+			if err != nil {
+				return 0, err
+			}
+			return res.FrameCount(), nil
+		}},
+		{"ReadStream", func(s *Store) (int, error) {
+			st, err := s.ReadStream(context.Background(), "v", ReadSpec{})
+			if err != nil {
+				return 0, err
+			}
+			defer st.Close()
+			n := 0
 			for {
-				res, err := s.Read("v", ReadSpec{})
-				if errors.Is(err, ErrNotFound) {
-					return
+				b, err := st.Next()
+				if err == io.EOF {
+					return n, nil
 				}
 				if err != nil {
-					errc <- err
-					return
+					return n, err
 				}
-				if res.FrameCount() != 16 {
-					errc <- fmt.Errorf("partial read: %d frames", res.FrameCount())
-					return
-				}
+				n += b.FrameCount()
 			}
-		}()
+		}},
+		{"ReadStreamWhere", func(s *Store) (int, error) {
+			st, err := s.ReadStreamWhere(context.Background(), "v", pred, 0, 0)
+			if err != nil {
+				return 0, err
+			}
+			defer st.Close()
+			n := 0
+			for {
+				b, err := st.Next()
+				if err == io.EOF {
+					return n, nil
+				}
+				if err != nil {
+					return n, err
+				}
+				n += len(b.Matches)
+			}
+		}},
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := s.Delete("v"); err != nil {
-			errc <- err
-		}
-	}()
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			s := newStore(t, Options{GOPFrames: 8})
+			writeVideo(t, s, "v", scene(16, 64, 48, 5), 8, codec.H264)
+
+			var wg sync.WaitGroup
+			errc := make(chan error, 16)
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						n, err := in.read(s)
+						if errors.Is(err, ErrNotFound) {
+							return
+						}
+						if err != nil {
+							errc <- err
+							return
+						}
+						if n != 16 {
+							errc <- fmt.Errorf("partial read: %d frames", n)
+							return
+						}
+					}
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.Delete("v"); err != nil {
+					errc <- err
+				}
+			}()
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -63,7 +63,8 @@ func (s *Store) DeferredLevel(video string) int {
 func (s *Store) compressOneLocked(vs *videoState, level int) (bool, error) {
 	v := vs.meta
 	cands := s.scorePagesLocked(vs, lruGamma, lruZeta, func(p *PhysMeta, g *GOPMeta) bool {
-		return p.Codec == codec.Raw && g.Lossless == 0 && g.Joint == nil && g.DupOf == nil
+		return p.Codec == codec.Raw && g.Lossless == 0 && g.Joint == nil && g.DupOf == nil &&
+			!s.pins.pinned(v.Name, p, g)
 	})
 	if len(cands) == 0 {
 		return false, nil
@@ -74,12 +75,10 @@ func (s *Store) compressOneLocked(vs *videoState, level int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	block, err := lossless.Recompress(data, level)
-	if err != nil {
-		return false, err
-	}
-	if len(block) >= len(data) {
-		// Incompressible; mark with level so it is not retried forever.
+	block, err := lossless.Recompress(data)
+	if err != nil || len(block) >= len(data) {
+		// ls cannot take it, or it is incompressible: mark it so it is
+		// not retried forever.
 		g.Lossless = -1
 		return false, s.savePhys(v.Name, c.phys)
 	}
@@ -100,10 +99,10 @@ const backfillBudget = 16
 // backfillSummariesLocked computes feature summaries for original GOPs
 // that lack one — stores written before summaries existed, ingest
 // decode-back failures, and GOPs whose summaries were invalidated by
-// joint compression or duplicate elision. Each GOP is decoded through
-// the same snapshot machinery predicate reads use (eagerly, under the
-// held lock — the compressOneLocked idiom: CPU work runs under the video
-// lock and never touches workSem, which a lock-holder must not acquire),
+// joint compression or duplicate elision. Each GOP is decoded from the
+// same recipe predicate reads snapshot (read at once, under the held
+// lock — the compressOneLocked idiom: CPU work runs under the video lock
+// and never touches workSem, which a lock-holder must not acquire),
 // so the recomputed bounds are exact over the reconstructed pixels
 // queries decode. GOPs whose references escape this video (cross-video
 // joint partners or duplicate targets) are skipped and stay summaryless:
@@ -124,8 +123,7 @@ func (s *Store) backfillSummariesLocked(vs *videoState) error {
 		if g.Summary != nil {
 			continue
 		}
-		c := &snapCollector{ctx: context.Background(), stats: &ReadStats{}, eager: true}
-		snap, err := s.snapshotGOP(held, vs, p, g, c)
+		snap, err := s.loadGOPLocked(context.Background(), held, vs, p, g)
 		if err != nil {
 			continue
 		}

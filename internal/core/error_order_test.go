@@ -14,9 +14,8 @@ import (
 
 // corruptGOPInPlace overwrites every stored copy of one GOP of the
 // video's original view with garbage of the same length, behind the
-// store's back: the prefetch stage's size check still passes, so the
-// bytes reach the decoder, and the re-snapshot retry reads the same
-// garbage again.
+// store's back: the size the catalog expects still matches, so the
+// bytes reach the decoder, which reports the failure.
 func corruptGOPInPlace(t *testing.T, dir, video string, seq int) {
 	t.Helper()
 	name := fmt.Sprintf("%d.gop", seq)

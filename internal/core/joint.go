@@ -109,12 +109,15 @@ func (s *Store) jointCompressPairHeld(held map[string]*videoState, left, right G
 	if !ok {
 		return res, nil // no homography found: abort silently (Algorithm 1)
 	}
+	// A duplicate has no orientation. Testing it first also keeps
+	// identical GOPs out of the swap below: swapped, they estimate the
+	// same homography, and a positive x translation would swap forever.
+	if h.DistanceFromIdentity() <= DupEpsilon {
+		return s.markDuplicateHeld(pair, left)
+	}
 	// Reversed orientation: the "left" frame is actually to the right.
 	if tx := translationX(h); tx > 0 {
 		return s.jointCompressPairHeld(held, right, left, merge)
-	}
-	if h.DistanceFromIdentity() <= DupEpsilon {
-		return s.markDuplicateHeld(pair, left)
 	}
 	return s.compressPairWithH(pair, h, merge)
 }
@@ -144,34 +147,34 @@ func (s *Store) loadPair(held map[string]*videoState, left, right GOPRef) (*join
 	if gL.Frames != gR.Frames {
 		return nil, nil // temporal misalignment: not a joint candidate
 	}
-	dataL, err := s.readGOP(context.Background(), vsL.meta.Name, pL.Dir, gL.Seq, gL.Bytes)
+	if s.pins.pinned(vsL.meta.Name, pL, gL) || s.pins.pinned(vsR.meta.Name, pR, gR) {
+		return nil, nil // a running read planned one of them: a later sweep
+	}
+	fL, err := s.loadRGBLocked(held, vsL, pL, gL)
 	if err != nil {
 		return nil, err
 	}
-	fL, _, _, err := decodeSnap(gopSnap{data: dataL, losslessLevel: gL.Lossless}, 0, -1)
+	fR, err := s.loadRGBLocked(held, vsR, pR, gR)
 	if err != nil {
 		return nil, err
 	}
-	dataR, err := s.readGOP(context.Background(), vsR.meta.Name, pR.Dir, gR.Seq, gR.Bytes)
+	return &jointPair{vL: vsL.meta, vR: vsR.meta, pL: pL, pR: pR, gL: gL, gR: gR, fL: fL, fR: fR}, nil
+}
+
+// loadRGBLocked decodes one plain GOP to RGB frames under the held locks.
+func (s *Store) loadRGBLocked(held map[string]*videoState, vs *videoState, p *PhysMeta, g *GOPMeta) ([]*frame.Frame, error) {
+	snap, err := s.loadGOPLocked(context.Background(), held, vs, p, g)
 	if err != nil {
 		return nil, err
 	}
-	fR, _, _, err := decodeSnap(gopSnap{data: dataR, losslessLevel: gR.Lossless}, 0, -1)
+	frames, _, _, err := decodeSnap(snap, 0, -1)
 	if err != nil {
 		return nil, err
 	}
-	toRGB := func(fs []*frame.Frame) []*frame.Frame {
-		out := make([]*frame.Frame, len(fs))
-		for i, f := range fs {
-			if f.Format == frame.RGB {
-				out[i] = f
-			} else {
-				out[i] = f.Convert(frame.RGB)
-			}
-		}
-		return out
+	for i, f := range frames {
+		frames[i] = toRGB(f)
 	}
-	return &jointPair{vL: vsL.meta, vR: vsR.meta, pL: pL, pR: pR, gL: gL, gR: gR, fL: toRGB(fL), fR: toRGB(fR)}, nil
+	return frames, nil
 }
 
 // estimateHomography runs the feature pipeline: Harris keypoints, Lowe

@@ -27,9 +27,9 @@ const analysisMemoBytes = 8 << 20
 type memoKey [sha256.Size]byte
 
 // inputKey names everything decodeSnap's frames [from, to) depend on: the
-// stored bytes, a joint GOP's parameters and partner bytes, the
-// deferred-lossless level and the canvas size. Snapshots with equal keys
-// decode to the same pixels.
+// stored bytes (deferred-lossless framing included), a joint GOP's
+// parameters and partner bytes, and the canvas size. Snapshots with equal
+// keys decode to the same pixels.
 func (s gopSnap) inputKey(from, to int) memoKey {
 	h := sha256.New()
 	var b [8]byte
@@ -43,7 +43,7 @@ func (s gopSnap) inputKey(from, to int) memoKey {
 	}
 	blob(s.data)
 	blob(s.partner)
-	for _, v := range []int{s.losslessLevel, s.width, s.height, from, to} {
+	for _, v := range []int{s.width, s.height, from, to} {
 		num(uint64(v))
 	}
 	if j := s.joint; j != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -27,8 +26,8 @@ import (
 //     entirely — it is never fetched or decoded. Summaries are sound
 //     over-approximations (see summary.go), so skipping never loses a
 //     match; GOPs without a summary are decoded conservatively.
-//  3. Each surviving GOP is one unit of the phase-B executor (prefetch
-//     window, CPU-pool decode, stale-fetch repair, in-order delivery);
+//  3. Each surviving GOP is one unit of the phase-B executor (pinned
+//     prefetch window, CPU-pool decode, in-order delivery);
 //     in place of convert, the exact predicate is applied per frame and
 //     matches are returned as RGB frames — byte-identical to a full raw
 //     RGB read of the same video filtered client-side with
@@ -146,20 +145,10 @@ func (s *Store) ReadWhere(video string, pred Predicate, t0, t1 float64) (*QueryR
 }
 
 // ReadWhereContext is ReadWhere with cancellation (the same promptness
-// contract as ReadContext: workers stop between GOP-granular tasks).
+// contract as ReadContext: workers stop between GOP-granular tasks). It
+// drains the stream ReadStreamWhere returns.
 func (s *Store) ReadWhereContext(ctx context.Context, video string, pred Predicate, t0, t1 float64) (*QueryResult, error) {
-	out, err := s.queryOnce(ctx, video, pred, t0, t1, false)
-	if errors.Is(err, errDanglingRef) {
-		// Same race as ReadContext: a planned GOP moved between phase A
-		// and its fetch; the eager under-lock snapshot is immune.
-		return s.queryOnce(ctx, video, pred, t0, t1, true)
-	}
-	return out, err
-}
-
-// queryOnce runs one predicate read attempt by draining its stream.
-func (s *Store) queryOnce(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*QueryResult, error) {
-	st, err := s.openQueryStream(ctx, video, pred, t0, t1, eager)
+	st, err := s.ReadStreamWhere(ctx, video, pred, t0, t1)
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +170,9 @@ func (s *Store) queryOnce(ctx context.Context, video string, pred Predicate, t0,
 
 // prepareQuery is phase A: under the video lock, restrict to GOPs
 // overlapping the interval via the temporal index, prune by summary
-// bounds, and snapshot the survivors' decode recipes.
-func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*queryJob, error) {
+// bounds, snapshot the survivors' decode recipes and pin their fetches.
+// On error no pin is left behind.
+func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, t0, t1 float64) (*queryJob, error) {
 	if pred == nil {
 		return nil, fmt.Errorf("%w: nil predicate", ErrInvalidSpec)
 	}
@@ -192,9 +182,8 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 		vs := held[video]
 		v := vs.meta
 		orig := vs.original()
+		job.units, job.stats = nil, QueryStats{}
 		if orig == nil || len(orig.GOPs) == 0 {
-			job.units, job.fetches = nil, nil
-			job.stats = QueryStats{}
 			return nil // nothing written yet: empty result
 		}
 		end := t1
@@ -225,7 +214,7 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 			return err
 		}
 
-		c := &snapCollector{ctx: ctx, stats: &ReadStats{}, eager: eager, ctr: &job.ctr}
+		c := &snapCollector{pins: &s.pins, ctr: &job.ctr}
 		for _, sp := range idx.Covering(t0, end) {
 			g := findGOP(orig, sp.Seq)
 			if g == nil {
@@ -248,21 +237,15 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 				job.stats.GOPsSkipped++
 				continue
 			}
-			snap, err := s.snapshotGOP(held, vs, orig, g, c)
+			snap, err := snapshotGOP(held, vs, orig, g)
 			if err != nil {
+				c.release()
 				return err
 			}
-			dj := &decodeJob{
-				snap:  snap,
-				key:   jobKey{video: video, phys: orig.ID, seq: g.Seq, from: 0, to: -1},
-				ctr:   &job.ctr,
-				from:  0,
-				to:    -1,
-				keyed: true,
-			}
+			c.fetchFor(snap)
+			dj := &decodeJob{snap: snap, ctr: &job.ctr, from: 0, to: -1, keyed: true}
 			job.units = append(job.units, &queryUnit{job: dj, start: g.StartFrame, lo: lo, hi: hi})
 		}
-		job.stats.BytesRead = c.stats.BytesRead
 		job.fetches = c.fetches
 		return nil
 	})
@@ -329,23 +312,19 @@ type QueryStream struct {
 }
 
 // ReadStreamWhere opens a streaming predicate read over [t0, t1) (t1 <=
-// 0 means the end of the video). The returned stream must be drained to
-// io.EOF or closed. Planning, pruning, and decode mechanics match
-// ReadWhere exactly; only delivery differs.
+// 0 means the end of the video): phase A, then the executor with one
+// unit per candidate GOP that decodes it and evaluates the predicate on
+// its frames. The returned stream must be drained to io.EOF or closed.
+// Planning, pruning, and decode mechanics match ReadWhere exactly; only
+// delivery differs.
 func (s *Store) ReadStreamWhere(ctx context.Context, video string, pred Predicate, t0, t1 float64) (*QueryStream, error) {
-	return s.openQueryStream(ctx, video, pred, t0, t1, false)
-}
-
-// openQueryStream runs phase A and starts the executor with one unit per
-// candidate GOP: decode it, then evaluate the predicate on its frames.
-func (s *Store) openQueryStream(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*QueryStream, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-	job, err := s.prepareQuery(ctx, video, pred, t0, t1, eager)
+	job, err := s.prepareQuery(ctx, video, pred, t0, t1)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/lossless"
 	"repro/internal/obs"
 	"repro/internal/quality"
+	"repro/internal/storage"
 )
 
 // This file implements the read path (Section 3) as a three-phase
@@ -43,16 +42,18 @@ import (
 // run the same executor with a per-GOP filter in place of convert.
 //
 // Deferring the byte reads out of phase A is what lets disk (or shard)
-// IO overlap with compute. The price is a race: between phase A and the
-// fetch, maintenance may evict, jointly compress, or lossless-recompress
-// a planned GOP. The prefetch stage detects this per GOP (the file is
-// gone, or its size no longer matches the metadata snapshot) and falls
-// back to re-snapshotting that one GOP under the lock, where metadata is
-// authoritative (an evicted GOP makes batch reads retry once, eagerly).
-// Passthrough GOPs (stored bitstreams emitted as-is, no decode) are still
-// snapshotted eagerly in phase A: they have no compute to overlap with.
-// Phase C revalidates admission against whatever the video looks like by
-// then.
+// IO overlap with compute. It is safe because phase A pins every GOP
+// address it plans a fetch for (pinSet), under the lock of the video that
+// owns the address, and the prefetch stage unpins each one once its bytes
+// are read or the read has ended. Maintenance runs under the same locks
+// and leaves pinned GOPs for a later pass: eviction, deferred
+// compression, compaction and joint compression never move or rewrite
+// bytes a running read has planned. So a read takes one snapshot and
+// never retries. Delete is the exception: it waits for nothing, and a
+// fetch from a deleted video reports ErrNotFound. Passthrough GOPs
+// (stored bitstreams emitted as-is, no decode) are read directly in phase
+// A: they have no compute to overlap with. Phase C revalidates admission
+// against whatever the video looks like by then.
 
 // ReadStats reports how a read was executed.
 type ReadStats struct {
@@ -101,13 +102,13 @@ func snapPhys(p *PhysMeta) physSnap {
 	return physSnap{width: p.Width, height: p.Height, roi: p.ROI}
 }
 
-// gopFetch is one deferred backend read: phase A records the GOP's
-// address and expected size under the video lock, the prefetch stage of
-// phase B performs the read. ready is closed once data/err is set.
+// gopFetch is one stored GOP read: phase A names the GOP's address and
+// expected size under the video lock, and the prefetch stage of phase B
+// performs the read. ready is closed once data/err is set.
 type gopFetch struct {
-	video, dir string
-	seq        int
-	want       int64 // stored size per the metadata snapshot (staleness check)
+	addr storage.GOPAddr
+	want int64       // stored size per the catalog (replica failover hint)
+	vs   *videoState // owner of addr; its deletion explains a missing file
 
 	ready  chan struct{}
 	data   []byte
@@ -131,18 +132,31 @@ func (f *gopFetch) wait(ctx context.Context) ([]byte, error) {
 	return f.data, f.err
 }
 
-// gopSnap carries the decode recipe of one GOP plus its stored bytes —
-// captured eagerly under the video lock in phase A (the batch retry,
-// passthrough, re-snapshots) or resolved from fetch descriptors by the
-// prefetch stage of phase B.
+// gopSnap carries the decode recipe of one GOP: the fetches that bring
+// its stored bytes (and a right-role joint partner's), and once they
+// have, the bytes themselves.
 type gopSnap struct {
 	data          []byte
-	fetch         *gopFetch // non-nil: data arrives via the prefetch stage
-	losslessLevel int
+	fetch         *gopFetch
 	joint         *GOPJoint
 	partner       []byte    // partner container bytes for right-role joint GOPs
-	partnerFetch  *gopFetch // non-nil: partner arrives via the prefetch stage
+	partnerFetch  *gopFetch // non-nil for right-role joint GOPs
 	width, height int       // physical resolution (joint reconstruction canvas)
+}
+
+// resolve waits for the snapshot's prefetched bytes. It waits on both
+// fetches even when the first failed, so each returns its look-ahead
+// token to the window.
+func (snap gopSnap) resolve(ctx context.Context) (gopSnap, error) {
+	var err error
+	snap.data, err = snap.fetch.wait(ctx)
+	if snap.partnerFetch != nil {
+		var perr error
+		if snap.partner, perr = snap.partnerFetch.wait(ctx); err == nil {
+			err = perr
+		}
+	}
+	return snap, err
 }
 
 // decodeJob is one GOP decode executed on the worker pool. from/to bound
@@ -151,7 +165,6 @@ type gopSnap struct {
 // frames once refs units have consumed them.
 type decodeJob struct {
 	snap     gopSnap
-	key      jobKey        // identity for the stale-fetch re-snapshot fallback
 	ctr      *readCounters // the read's phase-B counters
 	from, to int
 	frames   []*frame.Frame
@@ -175,7 +188,7 @@ type decodeJob struct {
 // backend IO never occupies the pool.
 func (j *decodeJob) run(ctx context.Context, s *Store) error {
 	j.once.Do(func() {
-		snap, err := j.resolve(ctx, s)
+		snap, err := j.snap.resolve(ctx)
 		if err == nil {
 			err = s.acquireSlot(ctx)
 		}
@@ -184,7 +197,7 @@ func (j *decodeJob) run(ctx context.Context, s *Store) error {
 			return
 		}
 		start := time.Now()
-		j.runErr = j.decodeResolved(ctx, snap, s)
+		j.runErr = j.decode(snap)
 		obs.ObserveCodec(ctx, s.pipe, obs.StageDecode, string(j.codecID), time.Since(start))
 		<-s.workSem
 		if j.runErr == nil {
@@ -203,74 +216,6 @@ func (j *decodeJob) decode(snap gopSnap) error {
 	return err
 }
 
-// decodeResolved decodes the resolved snapshot. When the bytes came from
-// a prefetched fetch, a decode failure retries once from a fresh
-// under-lock snapshot: an in-place rewrite that lands on the same byte
-// count slips past fetchStale's size check, and the retry converts that
-// razor-thin race into a correct read instead of a spurious decode
-// error. Genuine corruption still surfaces — eagerly snapshotted bytes
-// never retry, and a retry that decodes no better reports the failure.
-func (j *decodeJob) decodeResolved(ctx context.Context, snap gopSnap, s *Store) error {
-	err := j.decode(snap)
-	if err == nil || (snap.fetch == nil && snap.partnerFetch == nil) {
-		return err
-	}
-	fresh, rerr := s.resnapshotGOP(ctx, j.key, &j.ctr.bytes)
-	if rerr != nil {
-		return err // the original decode error, not the retry's
-	}
-	return j.decode(fresh)
-}
-
-// fetchStale reports whether a prefetched read raced a metadata change
-// and must be retried under the video lock: the file vanished (eviction
-// or compaction won) or its size no longer matches the phase-A snapshot
-// (joint compression or deferred lossless rewrote it in place).
-func fetchStale(err error, got int, want int64) bool {
-	if err != nil {
-		return errors.Is(err, fs.ErrNotExist)
-	}
-	return int64(got) != want
-}
-
-// resolve materializes the job's snapshot: wait for the prefetched
-// bytes, or — when the fetch proves stale — re-snapshot this one GOP
-// under the video lock, which re-resolves its current recipe
-// (duplicate/joint/lossless state may all have changed) and reads its
-// bytes while nothing can move them.
-func (j *decodeJob) resolve(ctx context.Context, s *Store) (gopSnap, error) {
-	snap := j.snap
-	if snap.fetch != nil {
-		data, err := snap.fetch.wait(ctx)
-		if err != nil || fetchStale(err, len(data), snap.fetch.want) {
-			// Any early exit must consume (and discard) the partner fetch
-			// too: its look-ahead token has to return to the window, or a
-			// run of failing joint GOPs (a degraded shard erroring with
-			// something other than ENOENT) would shrink the window until
-			// the fetchers wedge.
-			if snap.partnerFetch != nil {
-				snap.partnerFetch.wait(ctx) //nolint:errcheck
-			}
-			if fetchStale(err, len(data), snap.fetch.want) {
-				return s.resnapshotGOP(ctx, j.key, &j.ctr.bytes)
-			}
-			return gopSnap{}, err
-		}
-		snap.data = data
-	}
-	if snap.partnerFetch != nil {
-		data, err := snap.partnerFetch.wait(ctx)
-		if fetchStale(err, len(data), snap.partnerFetch.want) {
-			return s.resnapshotGOP(ctx, j.key, &j.ctr.bytes)
-		}
-		if err != nil {
-			return gopSnap{}, err
-		}
-		snap.partner = data
-	}
-	return snap, nil
-}
-
 // frameSrc names one output frame of a transcoded segment: a frame of a
 // decoded GOP plus the conversion parameters into output space.
 type frameSrc struct {
@@ -281,7 +226,7 @@ type frameSrc struct {
 
 // readCounters accumulates a read's phase-B work for its stats.
 type readCounters struct {
-	bytes   atomic.Int64 // stored bytes fetched (prefetch and re-snapshots)
+	bytes   atomic.Int64 // stored bytes fetched by the prefetch stage
 	decoded atomic.Int64 // GOP streams decoded
 }
 
@@ -290,9 +235,9 @@ type readCounters struct {
 type readJob struct {
 	r         resolvedSpec
 	units     []*streamUnit // ordered output units
-	fetches   []*gopFetch   // backend reads for the prefetch stage, plan order
+	fetches   []*gopFetch   // pinned backend reads for the prefetch stage, plan order
 	ctr       readCounters
-	stats     ReadStats // plan fields, plus bytes read under the lock
+	stats     ReadStats // plan fields, plus passthrough bytes read under the lock
 	fragIDs   []int     // physical videos the plan used
 	parentMSE float64   // worst quality loss among them
 }
@@ -301,6 +246,7 @@ type readJob struct {
 // decode work per stored GOP.
 type readBuilder struct {
 	s       *Store
+	ctx     context.Context // the read's context, for passthrough reads
 	held    map[string]*videoState
 	vs      *videoState
 	r       resolvedSpec
@@ -312,29 +258,73 @@ type readBuilder struct {
 	touched map[int]*PhysMeta
 }
 
-// snapCollector threads the snapshot policy of one read through
-// snapshotGOP: eager reads GOP bytes immediately under the video lock
-// (counting into stats — used by the batch retry and by stale-fetch
-// re-snapshots); otherwise each stored GOP registers a fetch descriptor
-// for the phase-B prefetch stage. ctx is the read's request context,
-// carried to eager backend reads (cancellation + trace propagation on
-// network backends).
+// pinSet counts, per stored GOP address, the fetches running reads have
+// planned and not yet finished. Phase A pins under the lock of the video
+// that owns the address; maintenance checks under that same lock and
+// leaves pinned GOPs alone for this pass.
+type pinSet struct {
+	mu sync.Mutex
+	n  map[storage.GOPAddr]int
+}
+
+func (ps *pinSet) pin(a storage.GOPAddr) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.n == nil {
+		ps.n = make(map[storage.GOPAddr]int)
+	}
+	ps.n[a]++
+}
+
+func (ps *pinSet) unpin(a storage.GOPAddr) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	switch ps.n[a] {
+	case 0:
+		panic(fmt.Sprintf("core: unpin of unpinned GOP %v", a))
+	case 1:
+		delete(ps.n, a)
+	default:
+		ps.n[a]--
+	}
+}
+
+// pinned reports whether a running read has planned a fetch of the GOP.
+func (ps *pinSet) pinned(video string, p *PhysMeta, g *GOPMeta) bool {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.n[storage.GOPAddr{Video: video, PhysDir: p.Dir, Seq: g.Seq}] > 0
+}
+
+// snapCollector gathers one read's fetches in plan order, pinning each
+// address as it registers it. Call fetchFor with the locks held that the
+// snapshot was taken under: that is what orders a pin before any
+// mutation that checks for it.
 type snapCollector struct {
-	ctx     context.Context
-	stats   *ReadStats
-	eager   bool
+	pins    *pinSet
 	ctr     *readCounters // phase-B counters, shared with fetches
 	fetches []*gopFetch
 }
 
-// fetchFor registers one deferred backend read.
-func (c *snapCollector) fetchFor(video, dir string, seq int, want int64) *gopFetch {
-	f := &gopFetch{
-		video: video, dir: dir, seq: seq, want: want,
-		ready: make(chan struct{}), bytes: &c.ctr.bytes,
+// fetchFor pins and registers the fetches of one snapshot.
+func (c *snapCollector) fetchFor(snap gopSnap) {
+	for _, f := range []*gopFetch{snap.fetch, snap.partnerFetch} {
+		if f == nil {
+			continue
+		}
+		f.ready, f.bytes = make(chan struct{}), &c.ctr.bytes
+		c.pins.pin(f.addr)
+		c.fetches = append(c.fetches, f)
 	}
-	c.fetches = append(c.fetches, f)
-	return f
+}
+
+// release unpins every registered fetch, for a phase A that failed after
+// registering some: no prefetch stage will run them.
+func (c *snapCollector) release() {
+	for _, f := range c.fetches {
+		c.pins.unpin(f.addr)
+	}
+	c.fetches = nil
 }
 
 type jobKey struct {
@@ -360,25 +350,11 @@ func (s *Store) Read(video string, spec ReadSpec) (*ReadResult, error) {
 // already-cancelled context performs no decode work at all. Cancellation
 // after the compute phase does not interrupt cache admission, which is
 // metadata-only and must not be torn.
+//
+// A batch read drains its unit stream (phases A and B) and then runs
+// phase C on the whole output.
 func (s *Store) ReadContext(ctx context.Context, video string, spec ReadSpec) (*ReadResult, error) {
-	out, err := s.readOnce(ctx, video, spec, false)
-	if errors.Is(err, errDanglingRef) {
-		// The prefetch stage lost a race the eager snapshot cannot lose:
-		// a planned GOP was evicted (and is not merely rewritten) between
-		// phase A and its fetch. The video itself is intact — a fresh
-		// plan reads it from the surviving views — so retry once with the
-		// eager snapshot, which reads every byte under the lock and is
-		// immune by construction. Nothing has reached the caller yet.
-		return s.readOnce(ctx, video, spec, true)
-	}
-	return out, err
-}
-
-// readOnce runs one full read attempt: it drains the read's unit stream
-// (phases A and B) and then runs phase C on the whole output. eager
-// selects the under-lock byte snapshot instead of the prefetch stage.
-func (s *Store) readOnce(ctx context.Context, video string, spec ReadSpec, eager bool) (*ReadResult, error) {
-	st, err := s.openReadStream(ctx, video, spec, eager, true)
+	st, err := s.openReadStream(ctx, video, spec, true)
 	if err != nil {
 		return nil, err
 	}
@@ -450,12 +426,12 @@ func (s *Store) withVideos(primary []string, fn func(held map[string]*videoState
 	}
 }
 
-// prepareRead is phase A: plan the read and snapshot everything phase B
-// needs (byte reads included when eager, fetch descriptors otherwise).
-// Caller holds the locks in held, which must include vs. ctx reaches
-// eager backend reads only — phase A itself is not cancellable
-// mid-plan (its metadata writes must not be torn).
-func (s *Store) prepareRead(ctx context.Context, held map[string]*videoState, vs *videoState, spec ReadSpec, eager bool) (*readJob, error) {
+// prepareRead is phase A: plan the read, snapshot everything phase B
+// needs and pin the GOPs it will fetch. Caller holds the locks in held,
+// which must include vs. ctx reaches passthrough reads only — phase A
+// itself is not cancellable mid-plan (its metadata writes must not be
+// torn). On error no pin is left behind.
+func (s *Store) prepareRead(ctx context.Context, held map[string]*videoState, vs *videoState, spec ReadSpec) (*readJob, error) {
 	v := vs.meta
 	r, err := s.resolve(v, spec)
 	if err != nil {
@@ -479,45 +455,54 @@ func (s *Store) prepareRead(ctx context.Context, held map[string]*videoState, vs
 	}
 
 	b := &readBuilder{
-		s: s, held: held, vs: vs, r: r, stats: &job.stats,
-		c:       &snapCollector{ctx: ctx, stats: &job.stats, eager: eager, ctr: &job.ctr},
+		s: s, ctx: ctx, held: held, vs: vs, r: r, stats: &job.stats,
+		c:       &snapCollector{pins: &s.pins, ctr: &job.ctr},
 		jobs:    make(map[jobKey]*decodeJob),
 		touched: make(map[int]*PhysMeta),
 	}
-	if r.codec.Compressed() {
-		err = b.buildCompressed(plan)
-	} else {
-		err = b.buildRaw(plan)
-	}
-	if err != nil {
-		return nil, err
-	}
-	b.flush()
-	// Persist the LRU touches made while building the snapshot.
-	for _, p := range b.touched {
-		if err := s.savePhys(v.Name, p); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.saveVideo(v); err != nil {
+	if err := b.build(plan); err != nil {
+		b.c.release()
 		return nil, err
 	}
 	job.units, job.fetches = b.units, b.c.fetches
 	return job, nil
 }
 
+// build cuts the plan into units and persists the LRU touches made while
+// snapshotting it.
+func (b *readBuilder) build(plan *Plan) error {
+	var err error
+	if b.r.codec.Compressed() {
+		err = b.buildCompressed(plan)
+	} else {
+		err = b.buildRaw(plan)
+	}
+	if err != nil {
+		return err
+	}
+	b.flush()
+	v := b.vs.meta
+	for _, p := range b.touched {
+		if err := b.s.savePhys(v.Name, p); err != nil {
+			return err
+		}
+	}
+	return b.s.saveVideo(v)
+}
+
 // jobFor returns the (deduplicated) decode job for frames [from, to) of a
-// stored GOP, snapshotting its bytes on first use.
+// stored GOP, snapshotting it and pinning its fetches on first use.
 func (b *readBuilder) jobFor(vs *videoState, p *PhysMeta, g *GOPMeta, from, to int) (*decodeJob, error) {
 	key := jobKey{vs.meta.Name, p.ID, g.Seq, from, to}
 	if j, ok := b.jobs[key]; ok {
 		return j, nil
 	}
-	snap, err := b.s.snapshotGOP(b.held, vs, p, g, b.c)
+	snap, err := snapshotGOP(b.held, vs, p, g)
 	if err != nil {
 		return nil, err
 	}
-	j := &decodeJob{snap: snap, key: key, ctr: b.c.ctr, from: from, to: to}
+	b.c.fetchFor(snap)
+	j := &decodeJob{snap: snap, ctr: b.c.ctr, from: from, to: to}
 	b.jobs[key] = j
 	return j, nil
 }
@@ -577,13 +562,13 @@ func (b *readBuilder) buildCompressed(plan *Plan) error {
 			aligned := ga >= rn.a-timeEps && gb <= rn.b+timeEps &&
 				g.Joint == nil && g.DupOf == nil && g.Lossless == 0
 			if aligned {
-				data, err := b.s.readGOP(b.c.ctx, v.Name, p.Dir, g.Seq, g.Bytes)
+				snap, err := b.s.loadGOPLocked(b.ctx, b.held, b.vs, p, g)
 				if err != nil {
 					return err
 				}
-				b.stats.BytesRead += int64(len(data))
+				b.stats.BytesRead += int64(len(snap.data))
 				b.flush()
-				b.units = append(b.units, &streamUnit{pass: data, frames: g.Frames})
+				b.units = append(b.units, &streamUnit{pass: snap.data, frames: g.Frames})
 				g.LRU = v.Clock
 				continue
 			}
@@ -668,101 +653,71 @@ func (b *readBuilder) runSrcs(p *PhysMeta, a, bEnd float64) ([]frameSrc, error) 
 }
 
 // snapshotGOP captures the decode recipe of one GOP, resolving duplicate
-// pointers and joint partners through the held lock set. Bytes are read
-// immediately (eager collector) or registered as fetch descriptors for
-// the prefetch stage. Returns errVideosNeeded when a reference escapes
-// the set.
-func (s *Store) snapshotGOP(held map[string]*videoState, vs *videoState, p *PhysMeta, g *GOPMeta, c *snapCollector) (gopSnap, error) {
+// pointers and joint partners through the held lock set, and names the
+// fetches that bring its bytes. It does no IO: the read path pins the
+// fetches and runs them in its prefetch stage, loadGOPLocked runs them at
+// once. Returns errVideosNeeded when a reference escapes the set.
+func snapshotGOP(held map[string]*videoState, vs *videoState, p *PhysMeta, g *GOPMeta) (gopSnap, error) {
 	if g.DupOf != nil {
 		dvs, dp, dg, err := resolveRefIn(held, *g.DupOf)
 		if err != nil {
 			return gopSnap{}, err
 		}
-		return s.snapshotGOP(held, dvs, dp, dg, c)
+		return snapshotGOP(held, dvs, dp, dg)
 	}
-	// For right-role joint GOPs, resolve the partner BEFORE any IO so a
-	// missing lock costs nothing.
-	var partnerP *PhysMeta
-	var partnerG *GOPMeta
-	if g.Joint != nil && g.Joint.Role == "right" {
-		var err error
-		_, partnerP, partnerG, err = resolveRefIn(held, g.Joint.Partner)
-		if err != nil {
-			return gopSnap{}, err
-		}
-	}
-	snap := gopSnap{losslessLevel: g.Lossless, width: p.Width, height: p.Height}
-	if c.eager {
-		data, err := s.readGOP(c.ctx, vs.meta.Name, p.Dir, g.Seq, g.Bytes)
-		if err != nil {
-			return gopSnap{}, err
-		}
-		c.stats.BytesRead += int64(len(data))
-		snap.data = data
-	} else {
-		snap.fetch = c.fetchFor(vs.meta.Name, p.Dir, g.Seq, g.Bytes)
-	}
+	snap := gopSnap{width: p.Width, height: p.Height, fetch: newFetch(vs, p, g)}
 	if g.Joint != nil {
 		j := *g.Joint
 		snap.joint = &j
-		if partnerP != nil {
-			if c.eager {
-				pdata, err := s.readGOP(c.ctx, j.Partner.Video, partnerP.Dir, j.Partner.Seq, partnerG.Bytes)
-				if err != nil {
-					return gopSnap{}, err
-				}
-				c.stats.BytesRead += int64(len(pdata))
-				snap.partner = pdata
-			} else {
-				snap.partnerFetch = c.fetchFor(j.Partner.Video, partnerP.Dir, j.Partner.Seq, partnerG.Bytes)
+		if j.Role == "right" {
+			pvs, pp, pg, err := resolveRefIn(held, j.Partner)
+			if err != nil {
+				return gopSnap{}, err
 			}
+			snap.partnerFetch = newFetch(pvs, pp, pg)
 		}
 	}
 	return snap, nil
 }
 
-// resnapshotGOP re-snapshots one GOP under its video's lock after the
-// prefetch stage found the stored bytes changed identity between
-// planning and fetch (evicted, jointly compressed, or lossless-
-// recompressed). The job key addresses the GOP as the plan saw it;
-// duplicate and joint references are re-chased from current metadata,
-// so the returned snapshot is internally consistent whatever happened
-// in between. A GOP that is truly gone surfaces as a dangling-ref error.
-func (s *Store) resnapshotGOP(ctx context.Context, key jobKey, bytes *atomic.Int64) (gopSnap, error) {
-	var snap gopSnap
-	var stats ReadStats
-	c := &snapCollector{ctx: ctx, stats: &stats, eager: true}
-	err := s.withVideos([]string{key.video}, func(held map[string]*videoState) error {
-		vs := held[key.video]
-		p := vs.byID(key.phys)
-		if p == nil {
-			return fmt.Errorf("%w: phys %d of %s", errDanglingRef, key.phys, key.video)
-		}
-		g := findGOP(p, key.seq)
-		if g == nil {
-			return fmt.Errorf("%w: seq %d of %s/%d", errDanglingRef, key.seq, key.video, key.phys)
-		}
-		var err error
-		snap, err = s.snapshotGOP(held, vs, p, g, c)
-		return err
-	})
+func newFetch(vs *videoState, p *PhysMeta, g *GOPMeta) *gopFetch {
+	return &gopFetch{addr: storage.GOPAddr{Video: vs.meta.Name, PhysDir: p.Dir, Seq: g.Seq}, want: g.Bytes, vs: vs}
+}
+
+// read performs the fetch's backend read.
+func (f *gopFetch) read(ctx context.Context, s *Store) ([]byte, error) {
+	return s.readGOP(ctx, f.addr.Video, f.addr.PhysDir, f.addr.Seq, f.want)
+}
+
+// loadGOPLocked snapshots one GOP and reads its bytes at once. It is for
+// code that reads while holding the video locks — passthrough GOPs,
+// Maintain's summary backfill, joint-candidate discovery — where nothing
+// can move the files, so there is nothing to pin.
+func (s *Store) loadGOPLocked(ctx context.Context, held map[string]*videoState, vs *videoState, p *PhysMeta, g *GOPMeta) (gopSnap, error) {
+	snap, err := snapshotGOP(held, vs, p, g)
 	if err != nil {
 		return gopSnap{}, err
 	}
-	if bytes != nil {
-		bytes.Add(stats.BytesRead)
+	if snap.data, err = snap.fetch.read(ctx, s); err != nil {
+		return gopSnap{}, err
+	}
+	if f := snap.partnerFetch; f != nil {
+		if snap.partner, err = f.read(ctx, s); err != nil {
+			return gopSnap{}, err
+		}
 	}
 	return snap, nil
 }
 
 // startPrefetch launches the asynchronous IO stage of phase B: fetchers
-// issue backend reads in plan order, running at most 2*Workers fetched-
+// start backend reads in plan order, running at most 2*Workers fetched-
 // but-unconsumed GOPs ahead of the decode workers — the same look-ahead
 // discipline that bounds the units in flight. Fetchers need no CPU-pool
 // slot (they only block on IO), so backend reads overlap decode work
-// slot-for-slot. They exit when every fetch is issued or ctx is
-// cancelled; waiters observe cancellation through their own ctx select,
-// so no fetch is ever waited on forever.
+// slot-for-slot. Every fetch passes through runFetch exactly once, even
+// after ctx is cancelled, so every pin phase A took is released; waiters
+// observe cancellation through their own ctx select, so no fetch is ever
+// waited on forever.
 func (s *Store) startPrefetch(ctx context.Context, fetches []*gopFetch) {
 	if len(fetches) == 0 {
 		return
@@ -771,34 +726,43 @@ func (s *Store) startPrefetch(ctx context.Context, fetches []*gopFetch) {
 	for _, f := range fetches {
 		f.window = window
 	}
-	workers := s.opts.Workers
-	if workers > len(fetches) {
-		workers = len(fetches)
-	}
 	var next atomic.Int64
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(s.opts.Workers, len(fetches)); w++ {
 		go func() {
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(fetches) {
 					return
 				}
-				f := fetches[i]
-				select {
-				case window <- struct{}{}:
-				case <-ctx.Done():
-					f.err = context.Cause(ctx)
-					close(f.ready)
-					return
-				}
-				f.data, f.err = s.readGOP(ctx, f.video, f.dir, f.seq, f.want)
-				if f.err == nil && f.bytes != nil {
-					f.bytes.Add(int64(len(f.data)))
-				}
-				close(f.ready)
+				s.runFetch(ctx, fetches[i], window)
 			}
 		}()
 	}
+}
+
+// runFetch performs one fetch once a look-ahead token is free — or fails it
+// without IO once ctx is cancelled — then unpins its address and wakes
+// its waiter.
+func (s *Store) runFetch(ctx context.Context, f *gopFetch, window chan struct{}) {
+	f.err = context.Cause(ctx)
+	if f.err == nil {
+		select {
+		case window <- struct{}{}:
+			f.data, f.err = f.read(ctx, s)
+		case <-ctx.Done():
+			f.err = context.Cause(ctx)
+		}
+	}
+	s.pins.unpin(f.addr)
+	switch {
+	case f.vs.gone.Load():
+		// Deletion is the one change pins do not hold off: whatever the
+		// read found, the video it planned is gone.
+		f.data, f.err = nil, fmt.Errorf("%w: %s deleted during the read", ErrNotFound, f.addr.Video)
+	case f.err == nil:
+		f.bytes.Add(int64(len(f.data)))
+	}
+	close(f.ready)
 }
 
 // decodeSnap decodes frames [from, to) of a snapshotted GOP. It is a pure

@@ -130,6 +130,9 @@ type videoState struct {
 	mu   sync.Mutex
 	meta *VideoMeta
 	phys map[int]*PhysMeta // id -> meta
+	// gone is set by Delete before it removes any file, so a read's
+	// fetch that lost the race reports ErrNotFound.
+	gone atomic.Bool
 }
 
 // totalBytes sums the stored size of the video. Caller holds vs.mu.
@@ -197,6 +200,7 @@ type Store struct {
 	sampleCounter int
 
 	memo *analysisMemo // per-GOP analyses predicate reads reuse (memo.go)
+	pins pinSet        // GOPs running reads have planned (reader.go)
 
 	bgMu sync.Mutex      // guards bg
 	bg   BackgroundStats // the background loop's passes (deferred.go)
@@ -587,6 +591,7 @@ func (s *Store) Delete(name string) error {
 	if err := s.cat.Put("deleting", name, true); err != nil {
 		return err
 	}
+	vs.gone.Store(true)
 	if err := s.teardownVideo(name, vs.phys); err != nil {
 		return err
 	}

@@ -31,9 +31,12 @@ import (
 //     into passthrough; one that outgrows the bound streams on without
 //     admitting.
 //   - Streams never drive deferred compression.
-//   - A stream surfaces errDanglingRef — a planned GOP evicted between
-//     planning and its fetch — instead of retrying: it may already have
-//     delivered units of the old plan, so the consumer retries.
+//
+// Like Read, a stream plans once and never retries: the GOPs it planned
+// stay pinned until fetched (reader.go), so maintenance cannot pull them
+// out from under it. An open stream holds those pins until it reaches
+// EOF or an error, or is closed or cancelled; the pins make maintenance
+// skip the GOPs, so a stream abandoned without Close defers that work.
 
 // ReadBatch is one in-order unit of a streaming read's output: a run of
 // decoded frames in the requested layout (raw reads) or a single encoded
@@ -242,14 +245,13 @@ type ReadStream struct {
 // or calling Close — abandons the remaining decode work at the next GOP
 // boundary. Safe for concurrent use.
 func (s *Store) ReadStream(ctx context.Context, video string, spec ReadSpec) (*ReadStream, error) {
-	return s.openReadStream(ctx, video, spec, false, false)
+	return s.openReadStream(ctx, video, spec, false)
 }
 
-// openReadStream runs phase A and starts phase B. eager snapshots every
-// stored byte under the lock instead of prefetching it. batch marks a
-// stream Read drains: it keeps the PSNR sample and leaves admission to
-// the drain.
-func (s *Store) openReadStream(ctx context.Context, video string, spec ReadSpec, eager, batch bool) (*ReadStream, error) {
+// openReadStream runs phase A and starts phase B. batch marks a stream
+// Read drains: it keeps the PSNR sample and leaves admission to the
+// drain.
+func (s *Store) openReadStream(ctx context.Context, video string, spec ReadSpec, batch bool) (*ReadStream, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -261,7 +263,7 @@ func (s *Store) openReadStream(ctx context.Context, video string, spec ReadSpec,
 	err := s.withVideos([]string{video}, func(held map[string]*videoState) error {
 		var err error
 		st.vsA = held[video]
-		st.job, err = s.prepareRead(ctx, held, st.vsA, spec, eager)
+		st.job, err = s.prepareRead(ctx, held, st.vsA, spec)
 		return err
 	})
 	obs.Observe(ctx, s.pipe, obs.StagePlan, time.Since(planStart))

@@ -1,9 +1,10 @@
-// Package lossless provides the leveled lossless compressor VSS uses for
-// deferred compression of uncompressed cache entries (Section 5.2 of the
-// paper). The paper uses Zstandard with levels 1..19; this stdlib-only
-// reproduction maps the same level dial onto compress/flate, preserving the
-// speed-vs-ratio trade-off that the deferred compression controller scales
-// against the remaining storage budget.
+// Package lossless provides deferred compression of uncompressed cache
+// entries (Section 5.2 of the paper). The paper uses Zstandard with
+// levels 1..19. The deferred tier writes through Recompress, which
+// re-encodes raw GOPs with the ls codec; the level the controller scales
+// against the remaining storage budget (LevelForBudget) is recorded, and
+// Compress still maps the same dial onto compress/flate for the Figure 13
+// experiment. Decompress reads the VSL1 flate blocks older stores hold.
 package lossless
 
 import (
@@ -85,26 +86,34 @@ func IsCompressed(data []byte) bool {
 	return len(data) >= 13 && bytes.Equal(data[:4], magic[:])
 }
 
-// Recompress rewrites stored GOP bytes losslessly for the deferred tier.
-// When the data is a raw GOP container and the registry has a lossless
-// fast codec (ls), the GOP is re-encoded through it — the result is a
-// plain, directly-decodable GOP container with no flate on the read path.
-// Anything else (non-container data, non-raw codecs, or an ls failure)
-// falls back to the flate block framing of Compress, so callers always
-// get a decodable block and the level dial keeps meaning for the
-// fallback. Decoding is uniform either way: IsCompressed sniffs the VSL1
-// framing, and registry dispatch handles container bytes.
-func Recompress(data []byte, level int) ([]byte, error) {
-	if hd, err := codec.DecodeHeader(data); err == nil && hd.Codec == codec.Raw {
-		if c, ok := codec.Lookup(codec.LS); ok && c.Lossless(100) {
-			if frames, _, err := codec.DecodeGOP(data); err == nil {
-				if out, _, err := codec.EncodeGOP(frames, codec.LS, 100); err == nil {
-					return out, nil
-				}
-			}
-		}
+// Recompress rewrites a raw GOP container losslessly for the deferred
+// tier by re-encoding it through the registry's lossless fast codec (ls):
+// the result is a plain, directly-decodable GOP container with no flate
+// on the read path. Anything ls cannot take — non-container data,
+// non-raw codecs, an ls failure — is refused with an error, and the
+// caller leaves those bytes as they are. Compress's VSL1 flate framing is
+// no longer written here; stores that hold it still decode (IsCompressed
+// sniffs it).
+func Recompress(data []byte) ([]byte, error) {
+	hd, err := codec.DecodeHeader(data)
+	if err != nil {
+		return nil, fmt.Errorf("lossless: not a GOP container: %w", err)
 	}
-	return Compress(data, level)
+	if hd.Codec != codec.Raw {
+		return nil, fmt.Errorf("lossless: %s GOP is not raw", hd.Codec)
+	}
+	if c, ok := codec.Lookup(codec.LS); !ok || !c.Lossless(100) {
+		return nil, fmt.Errorf("lossless: no lossless ls codec registered")
+	}
+	frames, _, err := codec.DecodeGOP(data)
+	if err != nil {
+		return nil, fmt.Errorf("lossless: %w", err)
+	}
+	out, _, err := codec.EncodeGOP(frames, codec.LS, 100)
+	if err != nil {
+		return nil, fmt.Errorf("lossless: %w", err)
+	}
+	return out, nil
 }
 
 // LevelForBudget implements the paper's budget-driven level scaling: the

@@ -35,7 +35,7 @@ func rawGOP(t *testing.T, n, w, h int, seed int64) ([]byte, []*frame.Frame) {
 // decode.
 func TestRecompressRoutesRawGOPThroughLS(t *testing.T) {
 	raw, frames := rawGOP(t, 6, 64, 48, 41)
-	out, err := Recompress(raw, LevelForBudget(0.5))
+	out, err := Recompress(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,11 @@ func TestRecompressRoutesRawGOPThroughLS(t *testing.T) {
 	}
 }
 
-// TestRecompressFallsBackToFlate pins the fallback: bytes that are not a
-// raw GOP container (arbitrary data, and an already-compressed h264
-// container) come back as a VSL1 flate block that round-trips.
-func TestRecompressFallsBackToFlate(t *testing.T) {
+// TestRecompressRefusesNonRawInput pins that the deferred tier writes
+// only ls containers: bytes that are not a raw GOP container (arbitrary
+// data, and an already-compressed h264 container) are refused with an
+// error, never wrapped in a VSL1 flate block.
+func TestRecompressRefusesNonRawInput(t *testing.T) {
 	blob := bytes.Repeat([]byte("not a gop container "), 64)
 	_, frames := rawGOP(t, 4, 32, 24, 43)
 	h264, _, err := codec.EncodeGOP(frames, codec.H264, 85)
@@ -74,19 +75,8 @@ func TestRecompressFallsBackToFlate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range map[string][]byte{"blob": blob, "h264": h264} {
-		out, err := Recompress(data, 6)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !IsCompressed(out) {
-			t.Fatalf("%s: fallback did not produce a VSL1 block", name)
-		}
-		got, err := Decompress(out)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: fallback round trip mismatch", name)
+		if out, err := Recompress(data); err == nil {
+			t.Errorf("%s: Recompress returned %d bytes, want a refusal", name, len(out))
 		}
 	}
 }

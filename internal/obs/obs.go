@@ -55,7 +55,7 @@ const (
 	// before the read acquired an execution slot.
 	StageAdmission Stage = iota
 	// StagePlan is phase A of a read: resolve, plan, and snapshot under
-	// the video lock (eager snapshot IO included when prefetch is off).
+	// the video lock (passthrough GOP reads included).
 	StagePlan
 	// StageFetch is a stored-GOP backend read — local disk, or the full
 	// remote round trip including retries and router failover.

@@ -20,7 +20,8 @@ package storage
 //
 // Every implementation must be safe for concurrent use and must report
 // missing GOPs with errors that match errors.Is(err, fs.ErrNotExist), so
-// callers can distinguish "evicted under me" races from real IO failures.
+// callers can tell a missing GOP from a real IO failure (replica
+// failover, scrub and journal replay depend on it).
 type Backend interface {
 	// Name identifies the backend kind ("localfs", "sharded", "mem") for
 	// metrics and operational labels.

@@ -55,8 +55,8 @@ func Conformance(t *testing.T, b storage.Backend) {
 		t.Errorf("size %d err %v", n, err)
 	}
 
-	// Missing GOPs must error with a chain matching fs.ErrNotExist (the
-	// read path's stale-fetch detection depends on it).
+	// Missing GOPs must error with a chain matching fs.ErrNotExist
+	// (replica failover and scrub depend on it).
 	if _, err := b.ReadGOP("v", "p1", 99); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("missing read error %v, want fs.ErrNotExist chain", err)
 	}
