@@ -155,9 +155,19 @@ func TestVssdSmoke(t *testing.T) {
 		t.Fatalf("raw read returned %d frames, want %d", n, 2*fps)
 	}
 
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// The server counts a read completed just after flushing its
+	// terminator, so the client can see the end of the raw read first:
+	// wait for the count rather than assume the order.
+	var m server.MetricsSnapshot
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if m, err = c.Metrics(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if m.Reads.Completed >= 2 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if m.Reads.Completed < 2 || m.Writes.GOPsWritten != int64(len(gops)) {
 		t.Fatalf("metrics = %+v", m)

@@ -138,17 +138,21 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 // rejected up front: a zero-length chunk is the wire terminator, so
 // framing one would silently truncate the batch server-side.
 func (c *Client) WriteGOPs(ctx context.Context, name string, fps int, gops [][]byte) error {
-	var body bytes.Buffer
+	size := 0
 	for i, g := range gops {
 		if len(g) == 0 {
 			return fmt.Errorf("empty GOP at index %d (zero-length chunks terminate the stream)", i)
 		}
-		if err := writeChunk(&body, g); err != nil {
+		size += 4 + len(g)
+	}
+	body := bytes.NewBuffer(make([]byte, 0, size))
+	for _, g := range gops {
+		if err := writeChunk(body, g); err != nil {
 			return err
 		}
 	}
 	path := fmt.Sprintf("/videos/%s/gops?fps=%d", url.PathEscape(name), fps)
-	resp, err := c.do(ctx, http.MethodPost, path, &body)
+	resp, err := c.do(ctx, http.MethodPost, path, body)
 	if err != nil {
 		return err
 	}
@@ -159,31 +163,81 @@ func (c *Client) WriteGOPs(ctx context.Context, name string, fps int, gops [][]b
 	return nil
 }
 
-// arenaSlab sizes chunkArena slabs: big enough to hold dozens of typical
-// encoded GOPs per allocation, small enough that a pinned slab is cheap.
+// arenaExact is the chunk size from which chunkArena gives a chunk an
+// allocation of exactly its own length: a chunk that large amortizes
+// its one allocation by itself, and a caller that keeps it pins no
+// neighbours.
+const arenaExact = 32 << 10
+
+// arenaSlab caps chunkArena's slab growth: a retained small chunk pins
+// at most this much.
 const arenaSlab = 1 << 20
 
-// chunkArena carves small chunk payloads out of slab allocations so a
-// stream of many GOPs costs one allocation per slab instead of one per
-// chunk. Returned slices are full-length with capped capacity, so caller
-// appends can never alias a neighbor. The trade-off: any retained chunk
-// pins its whole slab, which is fine for the streaming consumption the
-// client exists for. Chunks near or above the slab size get their own
-// allocation. Not safe for concurrent use.
+// chunkArena allocates one stream's chunk payloads so that the stream
+// never allocates much more than it receives. A chunk of arenaExact or
+// more gets an allocation of exactly its length. Smaller chunks are
+// carved out of slabs, and each new slab is as large as all the bytes
+// carved so far (at least the chunk, at most arenaSlab). Slabs so
+// double: many small chunks cost a handful of allocations, older slabs
+// lose at most a tail shorter than one chunk, and only the newest can
+// be mostly unused. Returned slices are full-length with capped
+// capacity, so caller appends can never alias a neighbor. A retained
+// small chunk pins its slab, which is fine for the streaming
+// consumption the client exists for. Not safe for concurrent use.
 type chunkArena struct {
-	slab []byte
+	slab   []byte
+	carved int // bytes handed out of slabs so far
 }
 
 func (a *chunkArena) alloc(n int) []byte {
-	if n >= arenaSlab/4 {
+	if n >= arenaExact {
 		return make([]byte, n)
 	}
 	if len(a.slab) < n {
-		a.slab = make([]byte, arenaSlab)
+		a.slab = make([]byte, max(n, min(a.carved, arenaSlab)))
 	}
 	b := a.slab[:n:n]
 	a.slab = a.slab[n:]
+	a.carved += n
 	return b
+}
+
+// chunkReader reads one framed chunk stream (writeChunk's framing) off
+// a response body. Every payload it returns is caller-owned and aliases
+// no other. Not safe for concurrent use.
+type chunkReader struct {
+	body  io.ReadCloser
+	arena chunkArena
+	hdr   [4]byte // length prefix; a field so it does not escape per chunk
+	eof   bool
+}
+
+// next returns the next chunk payload, or io.EOF once the zero-length
+// terminator has been read (the body is closed then). A body that ends
+// without a terminator is an error, so truncated streams are never
+// mistaken for complete ones.
+func (r *chunkReader) next() ([]byte, error) {
+	if r.eof {
+		return nil, io.EOF
+	}
+	if _, err := io.ReadFull(r.body, r.hdr[:]); err != nil {
+		return nil, fmt.Errorf("stream truncated before terminator: %w", err)
+	}
+	n := binary.BigEndian.Uint32(r.hdr[:])
+	if n == 0 {
+		r.eof = true
+		r.body.Close()
+		return nil, io.EOF
+	}
+	if n > maxChunkBytes {
+		// Validate before allocating: the length came off the wire.
+		return nil, fmt.Errorf("chunk length %d exceeds limit %d", n, maxChunkBytes)
+	}
+	buf := r.arena.alloc(int(n))
+	if _, err := io.ReadFull(r.body, buf); err != nil {
+		return nil, fmt.Errorf("stream truncated mid-chunk: %w", err)
+	}
+	return buf, nil
 }
 
 // ReadHeader describes a streaming read response.
@@ -222,33 +276,8 @@ func (c *Client) StreamingRead(ctx context.Context, name, query string) (hdr Rea
 	if f := h.Get("X-VSS-Format"); f != "" {
 		hdr.Format, _ = frame.ParsePixelFormat(f)
 	}
-	var sawEOF bool
-	var arena chunkArena // per-stream: next is not safe for concurrent use anyway
-	next = func() ([]byte, error) {
-		if sawEOF {
-			return nil, io.EOF
-		}
-		var lenHdr [4]byte
-		if _, err := io.ReadFull(resp.Body, lenHdr[:]); err != nil {
-			return nil, fmt.Errorf("stream truncated before terminator: %w", err)
-		}
-		n := binary.BigEndian.Uint32(lenHdr[:])
-		if n == 0 {
-			sawEOF = true
-			resp.Body.Close()
-			return nil, io.EOF
-		}
-		if n > maxChunkBytes {
-			// Validate before allocating: the length came off the wire.
-			return nil, fmt.Errorf("chunk length %d exceeds limit %d", n, maxChunkBytes)
-		}
-		buf := arena.alloc(int(n))
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return nil, fmt.Errorf("stream truncated mid-chunk: %w", err)
-		}
-		return buf, nil
-	}
-	return hdr, next, func() { resp.Body.Close() }, nil
+	cr := &chunkReader{body: resp.Body}
+	return hdr, cr.next, func() { resp.Body.Close() }, nil
 }
 
 // QueryMatch is one predicate-read match off the wire: the source frame

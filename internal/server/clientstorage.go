@@ -64,14 +64,29 @@ func (c *Client) GOPRead(ctx context.Context, video, physDir string, seq int) ([
 		return nil, errorFrom(resp)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
+	// The node always declares the length, so the GOP is read into one
+	// allocation of exactly that size. The length came off the wire:
+	// validate it before allocating.
+	n := resp.ContentLength
+	if n < 0 {
+		return nil, fmt.Errorf("gop read: node sent no Content-Length")
 	}
-	// The header is the server's claim about what it stored; a mismatch
-	// means the body was cut short without the transport noticing.
-	if want, err := strconv.Atoi(resp.Header.Get("X-VSS-GOP-Size")); err == nil && want != len(data) {
-		return nil, fmt.Errorf("gop read truncated: got %d bytes, node advertised %d", len(data), want)
+	if n > maxChunkBytes {
+		return nil, fmt.Errorf("gop read: node claims %d bytes, limit %d", n, maxChunkBytes)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, fmt.Errorf("gop read truncated: got less than the %d bytes declared: %w", n, err)
+	}
+	// X-VSS-GOP-Size is the node's claim about what it stored; a body of
+	// another length was cut short, or padded, on the way.
+	if want, err := strconv.Atoi(resp.Header.Get("X-VSS-GOP-Size")); err == nil {
+		if want > len(data) {
+			return nil, fmt.Errorf("gop read truncated: got %d bytes, node advertised %d", len(data), want)
+		}
+		if want < len(data) {
+			return nil, fmt.Errorf("gop read longer than advertised: got %d bytes, node advertised %d", len(data), want)
+		}
 	}
 	return data, nil
 }

@@ -2,13 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/frame"
 	"repro/internal/obs"
+	"repro/vss"
 )
 
 // countingDiscard is a flushable sink that only tallies bytes, so alloc
@@ -78,6 +83,104 @@ func TestChunkArenaNoAliasing(t *testing.T) {
 	copy(b, "bbbbbbbb")
 	if string(a[:8]) != "aaaaaaaa" || string(b) != "bbbbbbbb" {
 		t.Fatalf("arena chunks alias: a=%q b=%q", a, b)
+	}
+}
+
+// TestChunkReaderAllocBytes pins what one stream's receive buffers
+// cost: whatever its chunk sizes, a stream allocates at most twice its
+// payload plus a small constant. A fixed 1 MiB slab per stream (the old
+// arena) spent 1 MiB on a 2x84KB response.
+func TestChunkReaderAllocBytes(t *testing.T) {
+	cases := []struct {
+		name          string
+		chunks, bytes int
+	}{
+		{"2x84KB", 2, 84_000},
+		{"512x4KiB", 512, 4 << 10},
+		{"1x300KB", 1, 300_000},
+		{"1x1B", 1, 1},
+	}
+	for _, tc := range cases {
+		var wire bytes.Buffer
+		chunk := bytes.Repeat([]byte{5}, tc.bytes)
+		for range tc.chunks {
+			writeChunk(&wire, chunk)
+		}
+		writeChunk(&wire, nil)
+		drain := func() {
+			r := &chunkReader{body: io.NopCloser(bytes.NewReader(wire.Bytes()))}
+			for n := 0; ; n++ {
+				got, err := r.next()
+				if err == io.EOF {
+					if n != tc.chunks {
+						t.Fatalf("%s: %d chunks, want %d", tc.name, n, tc.chunks)
+					}
+					return
+				}
+				if err != nil || !bytes.Equal(got, chunk) {
+					t.Fatalf("%s: chunk %d: %d bytes, err %v", tc.name, n, len(got), err)
+				}
+			}
+		}
+		// Best of three measurements, so a stray allocation elsewhere in
+		// the process cannot fail the test.
+		const runs = 8
+		per := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				drain()
+			}
+			runtime.ReadMemStats(&after)
+			per = min(per, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		payload := uint64(tc.chunks * tc.bytes)
+		if limit := 2*payload + 1<<10; per > limit {
+			t.Errorf("%s: stream allocates %d bytes for a %d-byte payload, want <= %d", tc.name, per, payload, limit)
+		}
+	}
+}
+
+// BenchmarkStreamingReadHot drains a response-cache hit through
+// Client.StreamingRead over a loopback server: the client half of a hot
+// read, with the allocations it makes.
+func BenchmarkStreamingReadHot(b *testing.B) {
+	ctx := context.Background()
+	_, c := newTestServer(b, vss.Options{}, Config{CacheBytes: 16 << 20})
+	const fps = 8
+	if err := c.Create(ctx, "cam", 0); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.WriteGOPs(ctx, "cam", fps, encodeGOPs(b, testFootage(32, 160, 96, fps), 8)); err != nil {
+		b.Fatal(err)
+	}
+	const query = "start=1&end=3&codec=hevc"
+	if _, _, err := c.ReadAll(ctx, "cam", query); err != nil { // fills the cache
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		hdr, next, stop, err := c.StreamingRead(ctx, "cam", query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !hdr.CacheHit {
+			b.Fatal("response was not served from the cache")
+		}
+		var n int64
+		for {
+			chunk, err := next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += int64(len(chunk))
+		}
+		stop()
+		b.SetBytes(n)
 	}
 }
 

@@ -600,6 +600,16 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	// The response is complete: cache it before the terminator goes out,
+	// so a client that repeats the request as soon as it sees the end
+	// of this one is served from the cache.
+	if cacheable {
+		s.cache.put(&cacheEntry{
+			key: cacheKey, video: name, gops: cached,
+			width: st.Width, height: st.Height, fps: st.FPS,
+			codec: string(spec.P.Codec),
+		}, cacheGen)
+	}
 	if err := cw.finish(); err != nil { // clean-EOF terminator
 		s.m.readsCancelled.Add(1)
 		ro.status = statusClientGone
@@ -608,13 +618,6 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.readsCompleted.Add(1)
 	s.noteReadStats(st)
-	if cacheable {
-		s.cache.put(&cacheEntry{
-			key: cacheKey, video: name, gops: cached,
-			width: st.Width, height: st.Height, fps: st.FPS,
-			codec: string(spec.P.Codec),
-		}, cacheGen)
-	}
 }
 
 // predicateExclusiveParams are the read parameters a predicate read

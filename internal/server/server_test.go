@@ -21,7 +21,7 @@ import (
 // newTestServer opens a fresh system and serves it over a real TCP
 // listener (streaming/backpressure behavior needs real connections, not
 // httptest.ResponseRecorder).
-func newTestServer(t *testing.T, opts vss.Options, cfg Config) (*vss.System, *Client) {
+func newTestServer(t testing.TB, opts vss.Options, cfg Config) (*vss.System, *Client) {
 	t.Helper()
 	if opts.GOPFrames == 0 {
 		opts.GOPFrames = 8
@@ -50,7 +50,7 @@ func testFootage(n, w, h, fps int) []*frame.Frame {
 const pinnedReadQuery = "format=rgb&width=768&height=768"
 
 // encodeGOPs chops frames into encoded GOPs of the given size.
-func encodeGOPs(t *testing.T, frames []*frame.Frame, gop int) [][]byte {
+func encodeGOPs(t testing.TB, frames []*frame.Frame, gop int) [][]byte {
 	t.Helper()
 	var gops [][]byte
 	for i := 0; i < len(frames); i += gop {

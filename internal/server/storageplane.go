@@ -65,8 +65,18 @@ func (s *Server) handleGOPWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	// One GOP per request, raw body: Content-Length plus TCP framing is
 	// all the integrity the single-object plane needs (the batch ingest
-	// endpoint is the one that frames chunks).
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxChunkBytes))
+	// endpoint is the one that frames chunks). A declared length within
+	// the bound sizes the buffer once; the body reader ends at it, so a
+	// body shorter than declared fails the read.
+	body := http.MaxBytesReader(w, r.Body, maxChunkBytes)
+	var data []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxChunkBytes {
+		data = make([]byte, n)
+		_, err = io.ReadFull(body, data)
+	} else {
+		data, err = io.ReadAll(body)
+	}
 	if err != nil {
 		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
 		return
