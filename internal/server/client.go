@@ -163,36 +163,28 @@ func (c *Client) WriteGOPs(ctx context.Context, name string, fps int, gops [][]b
 	return nil
 }
 
-// arenaExact is the chunk size from which chunkArena gives a chunk an
-// allocation of exactly its own length: a chunk that large amortizes
-// its one allocation by itself, and a caller that keeps it pins no
-// neighbours.
-const arenaExact = 32 << 10
-
-// arenaSlab caps chunkArena's slab growth: a retained small chunk pins
-// at most this much.
+// arenaSlab caps chunkArena's slab growth: no slab is larger unless a
+// single chunk needs more.
 const arenaSlab = 1 << 20
 
 // chunkArena allocates one stream's chunk payloads so that the stream
-// never allocates much more than it receives. A chunk of arenaExact or
-// more gets an allocation of exactly its length. Smaller chunks are
-// carved out of slabs, and each new slab is as large as all the bytes
-// carved so far (at least the chunk, at most arenaSlab). Slabs so
-// double: many small chunks cost a handful of allocations, older slabs
-// lose at most a tail shorter than one chunk, and only the newest can
-// be mostly unused. Returned slices are full-length with capped
-// capacity, so caller appends can never alias a neighbor. A retained
-// small chunk pins its slab, which is fine for the streaming
-// consumption the client exists for. Not safe for concurrent use.
+// never allocates much more than it receives. Chunks are carved out of
+// slabs, and each new slab is as large as all the bytes carved so far
+// (at least the chunk, at most arenaSlab unless the chunk is larger).
+// A stream's first chunk so gets an allocation of exactly its length,
+// and later slabs double: many small chunks cost a handful of
+// allocations, older slabs lose at most a tail shorter than one chunk,
+// and only the newest can be mostly unused. Returned slices are
+// full-length with capped capacity, so caller appends can never alias a
+// neighbor. A retained chunk pins its slab, which is fine for the
+// streaming consumption the client exists for. Not safe for concurrent
+// use.
 type chunkArena struct {
 	slab   []byte
-	carved int // bytes handed out of slabs so far
+	carved int // bytes handed out so far
 }
 
 func (a *chunkArena) alloc(n int) []byte {
-	if n >= arenaExact {
-		return make([]byte, n)
-	}
 	if len(a.slab) < n {
 		a.slab = make([]byte, max(n, min(a.carved, arenaSlab)))
 	}

@@ -109,3 +109,35 @@ func TestGOPWriteLyingContentLength(t *testing.T) {
 		t.Errorf("short PUT body stored a GOP: stat err %v", err)
 	}
 }
+
+// TestGOPWriteDeclaredLength drives the GOP PUT handler with missing or
+// lying lengths: a PUT without Content-Length is refused, and one that
+// claims maxChunkBytes but sends three bytes is refused after reserving
+// no more than putPrealloc, not the claimed size.
+func TestGOPWriteDeclaredLength(t *testing.T) {
+	sys, err := vss.Open(t.TempDir(), vss.Options{GOPFrames: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	h := New(sys, Config{})
+	put := func(declared int64) (code int, grew uint64) {
+		req := httptest.NewRequest(http.MethodPut, gopPath("cam", "p0", 0), strings.NewReader("ggg"))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		return rec.Code, after.TotalAlloc - before.TotalAlloc
+	}
+	if code, _ := put(-1); code != http.StatusLengthRequired {
+		t.Errorf("PUT without Content-Length: status %d, want 411", code)
+	}
+	if code, grew := put(maxChunkBytes); code != http.StatusBadRequest || grew > 2*putPrealloc {
+		t.Errorf("header-only PUT claiming %d bytes: status %d, allocated %d bytes; want 400 within %d", maxChunkBytes, code, grew, 2*putPrealloc)
+	}
+	if _, err := sys.Backend().GOPSize("cam", "p0", 0); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("refused PUTs stored a GOP: stat err %v", err)
+	}
+}

@@ -2,9 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"io/fs"
 	"net/http"
 	"strconv"
@@ -57,6 +58,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// putPrealloc bounds what a GOP PUT's declared length reserves before
+// its body arrives: a typical encoded GOP fits in one allocation, and a
+// header alone cannot pin much memory.
+const putPrealloc = 1 << 20
+
 func (s *Server) handleGOPWrite(w http.ResponseWriter, r *http.Request) {
 	seq, ok := gopSeq(r)
 	if !ok {
@@ -65,22 +71,26 @@ func (s *Server) handleGOPWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	// One GOP per request, raw body: Content-Length plus TCP framing is
 	// all the integrity the single-object plane needs (the batch ingest
-	// endpoint is the one that frames chunks). A declared length within
-	// the bound sizes the buffer once; the body reader ends at it, so a
-	// body shorter than declared fails the read.
-	body := http.MaxBytesReader(w, r.Body, maxChunkBytes)
-	var data []byte
-	var err error
-	if n := r.ContentLength; n >= 0 && n <= maxChunkBytes {
-		data = make([]byte, n)
-		_, err = io.ReadFull(body, data)
-	} else {
-		data, err = io.ReadAll(body)
-	}
-	if err != nil {
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
+	// endpoint is the one that frames chunks), so a PUT must declare its
+	// length. The declared length sizes the buffer, but a header alone
+	// reserves at most putPrealloc; a longer body grows the buffer as its
+	// bytes arrive, up to the MaxBytesReader bound. The bytes.MinRead of
+	// slack lets ReadFrom see EOF without growing a full buffer.
+	n := r.ContentLength
+	if n < 0 {
+		http.Error(w, "GOP PUT needs a Content-Length", http.StatusLengthRequired)
 		return
 	}
+	if n > maxChunkBytes {
+		http.Error(w, fmt.Sprintf("GOP of %d bytes exceeds limit %d", n, maxChunkBytes), http.StatusBadRequest)
+		return
+	}
+	body := bytes.NewBuffer(make([]byte, 0, min(n, putPrealloc)+bytes.MinRead))
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxChunkBytes)); err != nil || int64(body.Len()) != n {
+		http.Error(w, fmt.Sprintf("bad body: %d of %d declared bytes: %v", body.Len(), n, err), http.StatusBadRequest)
+		return
+	}
+	data := body.Bytes()
 	if err := s.sys.Backend().WriteGOP(r.PathValue("video"), r.PathValue("phys"), seq, data); err != nil {
 		storageError(w, err)
 		return
