@@ -1,13 +1,11 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io/fs"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -75,69 +73,46 @@ func TestGOPReadLyingNode(t *testing.T) {
 	}
 }
 
-// TestGOPWriteLyingContentLength sends a GOP PUT whose body is shorter
-// than its Content-Length: the node must refuse it and store nothing,
-// while an honest PUT round-trips.
+// TestGOPWriteLyingContentLength drives the GOP PUT handler with an
+// honest, a missing and two lying lengths: only the honest PUT stores
+// its GOP, and a header claiming maxChunkBytes over a 3-byte body
+// reserves no more than putPrealloc, not the claimed size.
 func TestGOPWriteLyingContentLength(t *testing.T) {
-	ctx := context.Background()
-	_, c := newTestServer(t, vss.Options{}, Config{})
-	gop := bytes.Repeat([]byte{7}, 3000)
-	if err := c.GOPWrite(ctx, "cam", "p0", 0, gop); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.GOPRead(ctx, "cam", "p0", 0); err != nil || !bytes.Equal(got, gop) {
-		t.Fatalf("honest PUT round trip: %d bytes, err %v", len(got), err)
-	}
-
-	conn, err := net.Dial("tcp", strings.TrimPrefix(c.Base, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "PUT %s HTTP/1.1\r\nHost: node\r\nContent-Length: 100\r\n\r\n%s",
-		gopPath("cam", "p0", 1), strings.Repeat("g", 50))
-	conn.(*net.TCPConn).CloseWrite()
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("short PUT body: status %d, want 400", resp.StatusCode)
-	}
-	if _, err := c.GOPStat(ctx, "cam", "p0", 1); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("short PUT body stored a GOP: stat err %v", err)
-	}
-}
-
-// TestGOPWriteDeclaredLength drives the GOP PUT handler with missing or
-// lying lengths: a PUT without Content-Length is refused, and one that
-// claims maxChunkBytes but sends three bytes is refused after reserving
-// no more than putPrealloc, not the claimed size.
-func TestGOPWriteDeclaredLength(t *testing.T) {
 	sys, err := vss.Open(t.TempDir(), vss.Options{GOPFrames: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
 	h := New(sys, Config{})
-	put := func(declared int64) (code int, grew uint64) {
-		req := httptest.NewRequest(http.MethodPut, gopPath("cam", "p0", 0), strings.NewReader("ggg"))
-		req.ContentLength = declared
+	gop := bytes.Repeat([]byte{7}, 3000)
+	cases := []struct {
+		name     string
+		body     []byte
+		declared int64
+		want     int
+	}{
+		{"honest", gop, int64(len(gop)), http.StatusNoContent},
+		{"no Content-Length", gop, -1, http.StatusLengthRequired},
+		{"short body", gop[:50], 100, http.StatusBadRequest},
+		{"header-only claim of the limit", gop[:3], maxChunkBytes, http.StatusBadRequest},
+	}
+	for seq, tc := range cases {
+		req := httptest.NewRequest(http.MethodPut, gopPath("cam", "p0", seq), bytes.NewReader(tc.body))
+		req.ContentLength = tc.declared
 		rec := httptest.NewRecorder()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		h.ServeHTTP(rec, req)
 		runtime.ReadMemStats(&after)
-		return rec.Code, after.TotalAlloc - before.TotalAlloc
-	}
-	if code, _ := put(-1); code != http.StatusLengthRequired {
-		t.Errorf("PUT without Content-Length: status %d, want 411", code)
-	}
-	if code, grew := put(maxChunkBytes); code != http.StatusBadRequest || grew > 2*putPrealloc {
-		t.Errorf("header-only PUT claiming %d bytes: status %d, allocated %d bytes; want 400 within %d", maxChunkBytes, code, grew, 2*putPrealloc)
-	}
-	if _, err := sys.Backend().GOPSize("cam", "p0", 0); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("refused PUTs stored a GOP: stat err %v", err)
+		if grew := after.TotalAlloc - before.TotalAlloc; rec.Code != tc.want || grew > 2*putPrealloc {
+			t.Errorf("%s: status %d after allocating %d bytes; want %d within %d", tc.name, rec.Code, grew, tc.want, 2*putPrealloc)
+		}
+		n, err := sys.Backend().GOPSize("cam", "p0", seq)
+		if tc.want == http.StatusNoContent && (err != nil || n != int64(len(tc.body))) {
+			t.Errorf("%s: stored %d bytes, err %v; want %d", tc.name, n, err, len(tc.body))
+		}
+		if tc.want != http.StatusNoContent && !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: refused PUT stored a GOP: stat err %v", tc.name, err)
+		}
 	}
 }
