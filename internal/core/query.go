@@ -268,7 +268,7 @@ func (u *queryUnit) scan(memo *analysisMemo, pred Predicate, fps int) {
 	if reused {
 		u.reused = true
 	} else {
-		rgb, infos = analyzeRGB(frames)
+		rgb, infos = analyzeRGB(frames, true)
 		memo.put(u.job.inputKey, infos)
 	}
 	hi := u.hi

@@ -57,26 +57,44 @@ func (fi FrameInfo) Count() int { return len(fi.Detections) }
 // ingest-time summarization, query-time exact evaluation, and client-side
 // filtering of a raw RGB read all agree because they all run through it.
 func AnalyzeFrames(frames []*frame.Frame) []FrameInfo {
-	_, infos := analyzeRGB(frames)
+	_, infos := analyzeRGB(frames, false)
 	return infos
 }
 
-// analyzeRGB converts each frame to RGB (a no-op for RGB input) and
-// computes its FrameInfo. The RGB conversions are returned so callers
-// that also deliver frames (ReadWhere) convert exactly once — and with
-// the same frame.Convert the raw read path uses, keeping predicate
-// results byte-identical to a full raw RGB read.
-func analyzeRGB(frames []*frame.Frame) ([]*frame.Frame, []FrameInfo) {
-	rgb := make([]*frame.Frame, len(frames))
-	for i, f := range frames {
-		rgb[i] = toRGB(f)
+// analyzeRGB is the one per-frame analysis: it converts each frame to RGB
+// (a no-op for RGB input) and computes its FrameInfo. With keep the RGB
+// conversions are returned, so callers that also deliver frames
+// (ReadWhere) convert exactly once — and with the same frame.Convert the
+// raw read path uses, keeping predicate results byte-identical to a full
+// raw RGB read. Without it they go through two ping-pong scratch frames
+// (current plus the predecessor motion needs) instead of one allocation
+// per frame, and the returned slice is nil.
+func analyzeRGB(frames []*frame.Frame, keep bool) ([]*frame.Frame, []FrameInfo) {
+	var rgb []*frame.Frame
+	if keep {
+		rgb = make([]*frame.Frame, len(frames))
 	}
+	var scratch [2]*frame.Frame
 	infos := make([]FrameInfo, len(frames))
-	for i := range rgb {
-		if i > 0 {
-			infos[i].Motion = meanAbsDiff(rgb[i-1].Data, rgb[i].Data)
+	var prev *frame.Frame
+	for i, f := range frames {
+		cur := f
+		if f.Format != frame.RGB {
+			var dst *frame.Frame // nil: a fresh frame the caller keeps
+			if !keep {
+				dst = scratch[i&1]
+			}
+			cur = f.ConvertInto(dst, frame.RGB)
+			scratch[i&1] = cur
 		}
-		infos[i].Detections = detect.Vehicles(rgb[i])
+		if keep {
+			rgb[i] = cur
+		}
+		if i > 0 {
+			infos[i].Motion = meanAbsDiff(prev.Data, cur.Data)
+		}
+		infos[i].Detections = detect.Vehicles(cur)
+		prev = cur
 	}
 	return rgb, infos
 }
@@ -206,31 +224,9 @@ func Summarize(infos []FrameInfo) *GOPSummary {
 	return s
 }
 
-// summarizeFrames analyzes and folds in one step (ingest, backfill). The
-// analysis is identical to analyzeRGB — same frame.Convert, same detector
-// — but the RGB conversions are not delivered anywhere, so they go through
-// two ping-pong scratch frames (current plus the predecessor motion needs)
-// instead of materializing one allocation per frame.
+// summarizeFrames analyzes and folds in one step (ingest, backfill).
 func summarizeFrames(frames []*frame.Frame) *GOPSummary {
-	if len(frames) == 0 {
-		return nil
-	}
-	var scratch [2]*frame.Frame
-	infos := make([]FrameInfo, len(frames))
-	var prev *frame.Frame
-	for i, f := range frames {
-		cur := f
-		if f.Format != frame.RGB {
-			cur = f.ConvertInto(scratch[i&1], frame.RGB)
-			scratch[i&1] = cur
-		}
-		if i > 0 {
-			infos[i].Motion = meanAbsDiff(prev.Data, cur.Data)
-		}
-		infos[i].Detections = detect.Vehicles(cur)
-		prev = cur
-	}
-	return Summarize(infos)
+	return Summarize(AnalyzeFrames(frames))
 }
 
 // The persisted encoding of a GOPSummary: a fixed-layout versioned record

@@ -138,21 +138,20 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 // rejected up front: a zero-length chunk is the wire terminator, so
 // framing one would silently truncate the batch server-side.
 func (c *Client) WriteGOPs(ctx context.Context, name string, fps int, gops [][]byte) error {
-	size := 0
+	size := chunkHeaderLen
 	for i, g := range gops {
 		if len(g) == 0 {
 			return fmt.Errorf("empty GOP at index %d (zero-length chunks terminate the stream)", i)
 		}
-		size += 4 + len(g)
+		size += chunkHeaderLen + len(g)
 	}
-	body := bytes.NewBuffer(make([]byte, 0, size))
+	body := make([]byte, 0, size)
 	for _, g := range gops {
-		if err := writeChunk(body, g); err != nil {
-			return err
-		}
+		body = append(appendChunkHeader(body, len(g)), g...)
 	}
+	body = appendChunkHeader(body, 0)
 	path := fmt.Sprintf("/videos/%s/gops?fps=%d", url.PathEscape(name), fps)
-	resp, err := c.do(ctx, http.MethodPost, path, body)
+	resp, err := c.do(ctx, http.MethodPost, path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -161,75 +160,6 @@ func (c *Client) WriteGOPs(ctx context.Context, name string, fps int, gops [][]b
 		return errorFrom(resp)
 	}
 	return nil
-}
-
-// arenaSlab caps chunkArena's slab growth: no slab is larger unless a
-// single chunk needs more.
-const arenaSlab = 1 << 20
-
-// chunkArena allocates one stream's chunk payloads so that the stream
-// never allocates much more than it receives. Chunks are carved out of
-// slabs, and each new slab is as large as all the bytes carved so far
-// (at least the chunk, at most arenaSlab unless the chunk is larger).
-// A stream's first chunk so gets an allocation of exactly its length,
-// and later slabs double: many small chunks cost a handful of
-// allocations, older slabs lose at most a tail shorter than one chunk,
-// and only the newest can be mostly unused. Returned slices are
-// full-length with capped capacity, so caller appends can never alias a
-// neighbor. A retained chunk pins its slab, which is fine for the
-// streaming consumption the client exists for. Not safe for concurrent
-// use.
-type chunkArena struct {
-	slab   []byte
-	carved int // bytes handed out so far
-}
-
-func (a *chunkArena) alloc(n int) []byte {
-	if len(a.slab) < n {
-		a.slab = make([]byte, max(n, min(a.carved, arenaSlab)))
-	}
-	b := a.slab[:n:n]
-	a.slab = a.slab[n:]
-	a.carved += n
-	return b
-}
-
-// chunkReader reads one framed chunk stream (writeChunk's framing) off
-// a response body. Every payload it returns is caller-owned and aliases
-// no other. Not safe for concurrent use.
-type chunkReader struct {
-	body  io.ReadCloser
-	arena chunkArena
-	hdr   [4]byte // length prefix; a field so it does not escape per chunk
-	eof   bool
-}
-
-// next returns the next chunk payload, or io.EOF once the zero-length
-// terminator has been read (the body is closed then). A body that ends
-// without a terminator is an error, so truncated streams are never
-// mistaken for complete ones.
-func (r *chunkReader) next() ([]byte, error) {
-	if r.eof {
-		return nil, io.EOF
-	}
-	if _, err := io.ReadFull(r.body, r.hdr[:]); err != nil {
-		return nil, fmt.Errorf("stream truncated before terminator: %w", err)
-	}
-	n := binary.BigEndian.Uint32(r.hdr[:])
-	if n == 0 {
-		r.eof = true
-		r.body.Close()
-		return nil, io.EOF
-	}
-	if n > maxChunkBytes {
-		// Validate before allocating: the length came off the wire.
-		return nil, fmt.Errorf("chunk length %d exceeds limit %d", n, maxChunkBytes)
-	}
-	buf := r.arena.alloc(int(n))
-	if _, err := io.ReadFull(r.body, buf); err != nil {
-		return nil, fmt.Errorf("stream truncated mid-chunk: %w", err)
-	}
-	return buf, nil
 }
 
 // ReadHeader describes a streaming read response.
@@ -247,16 +177,26 @@ type ReadHeader struct {
 // truncated streams are never mistaken for complete ones. Callers must
 // drain next to io.EOF or call stop.
 func (c *Client) StreamingRead(ctx context.Context, name, query string) (hdr ReadHeader, next func() ([]byte, error), stop func(), err error) {
+	hdr, cr, err := c.stream(ctx, name, query)
+	if err != nil {
+		return hdr, nil, nil, err
+	}
+	return hdr, cr.next, func() { cr.body.Close() }, nil
+}
+
+// stream issues a read and returns its header and the reader of its
+// framed body; the caller closes cr.body.
+func (c *Client) stream(ctx context.Context, name, query string) (hdr ReadHeader, cr *chunkReader, err error) {
 	path := "/videos/" + url.PathEscape(name) + "/read"
 	if query != "" {
 		path += "?" + query
 	}
 	resp, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
-		return hdr, nil, nil, err
+		return hdr, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return hdr, nil, nil, errorFrom(resp)
+		return hdr, nil, errorFrom(resp)
 	}
 	h := resp.Header
 	hdr.Width, _ = strconv.Atoi(h.Get("X-VSS-Width"))
@@ -268,8 +208,7 @@ func (c *Client) StreamingRead(ctx context.Context, name, query string) (hdr Rea
 	if f := h.Get("X-VSS-Format"); f != "" {
 		hdr.Format, _ = frame.ParsePixelFormat(f)
 	}
-	cr := &chunkReader{body: resp.Body}
-	return hdr, cr.next, func() { resp.Body.Close() }, nil
+	return hdr, &chunkReader{body: resp.Body}, nil
 }
 
 // QueryMatch is one predicate-read match off the wire: the source frame
@@ -293,26 +232,26 @@ func (c *Client) Query(ctx context.Context, name, pred string, t0, t1 float64) (
 	if t1 != 0 {
 		q.Set("end", strconv.FormatFloat(t1, 'g', -1, 64))
 	}
-	hdr, next, stop, err := c.StreamingRead(ctx, name, q.Encode())
+	hdr, cr, err := c.stream(ctx, name, q.Encode())
 	if err != nil {
 		return hdr, nil, err
 	}
-	defer stop()
+	defer cr.body.Close()
 	var matches []QueryMatch
 	for {
-		chunk, err := next()
+		chunk, err := cr.next()
 		if err == io.EOF {
 			return hdr, matches, nil
 		}
 		if err != nil {
 			return hdr, nil, err
 		}
-		if len(chunk) != 4+hdr.FrameBytes {
-			return hdr, nil, fmt.Errorf("match chunk is %d bytes, want 4+%d", len(chunk), hdr.FrameBytes)
+		if len(chunk) != matchIndexLen+hdr.FrameBytes {
+			return hdr, nil, fmt.Errorf("match chunk is %d bytes, want %d+%d", len(chunk), matchIndexLen, hdr.FrameBytes)
 		}
 		matches = append(matches, QueryMatch{
 			Index: int(binary.BigEndian.Uint32(chunk)),
-			Data:  chunk[4:],
+			Data:  chunk[matchIndexLen:],
 		})
 	}
 }
@@ -320,22 +259,13 @@ func (c *Client) Query(ctx context.Context, name, pred string, t0, t1 float64) (
 // ReadAll issues a read and drains the whole stream, returning the raw
 // chunk payloads (GOPs for compressed reads, frame batches for raw).
 func (c *Client) ReadAll(ctx context.Context, name, query string) (ReadHeader, [][]byte, error) {
-	hdr, next, stop, err := c.StreamingRead(ctx, name, query)
+	hdr, cr, err := c.stream(ctx, name, query)
 	if err != nil {
 		return hdr, nil, err
 	}
-	defer stop()
-	var chunks [][]byte
-	for {
-		chunk, err := next()
-		if err == io.EOF {
-			return hdr, chunks, nil
-		}
-		if err != nil {
-			return hdr, nil, err
-		}
-		chunks = append(chunks, chunk)
-	}
+	defer cr.body.Close()
+	chunks, err := cr.all()
+	return hdr, chunks, err
 }
 
 // Metrics fetches and decodes the /metrics snapshot.

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -66,7 +65,7 @@ func (c *Client) GOPRead(ctx context.Context, video, physDir string, seq int) ([
 	defer resp.Body.Close()
 	// The node always declares the length, so the GOP is read into one
 	// allocation of exactly that size. The length came off the wire:
-	// validate it before allocating.
+	// validate it, and read under the framed streams' allocation bound.
 	n := resp.ContentLength
 	if n < 0 {
 		return nil, fmt.Errorf("gop read: node sent no Content-Length")
@@ -74,8 +73,9 @@ func (c *Client) GOPRead(ctx context.Context, video, physDir string, seq int) ([
 	if n > maxChunkBytes {
 		return nil, fmt.Errorf("gop read: node claims %d bytes, limit %d", n, maxChunkBytes)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, data); err != nil {
+	var a chunkArena
+	data, err := a.read(resp.Body, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("gop read truncated: got less than the %d bytes declared: %w", n, err)
 	}
 	// X-VSS-GOP-Size is the node's claim about what it stored; a body of
@@ -180,28 +180,17 @@ func (c *Client) GOPWalk(ctx context.Context, fn func(video, physDir string, seq
 	if resp.StatusCode != http.StatusOK {
 		return errorFrom(resp)
 	}
-	var lenHdr [4]byte
-	buf := make([]byte, 0, 256)
+	cr := &chunkReader{body: resp.Body}
 	for {
-		if _, err := io.ReadFull(resp.Body, lenHdr[:]); err != nil {
-			return fmt.Errorf("walk truncated before terminator: %w", err)
-		}
-		n := binary.BigEndian.Uint32(lenHdr[:])
-		if n == 0 {
+		entry, err := cr.next()
+		if err == io.EOF {
 			return nil
 		}
-		if n > maxChunkBytes {
-			return fmt.Errorf("walk chunk length %d exceeds limit %d", n, maxChunkBytes)
-		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return fmt.Errorf("walk truncated mid-entry: %w", err)
+		if err != nil {
+			return fmt.Errorf("walk: %w", err)
 		}
 		var e gopEntry
-		if err := json.Unmarshal(buf, &e); err != nil {
+		if err := json.Unmarshal(entry, &e); err != nil {
 			return fmt.Errorf("bad walk entry: %w", err)
 		}
 		if err := fn(e.Video, e.Phys, e.Seq, e.Size); err != nil {

@@ -35,8 +35,6 @@ const (
 	// one maximal coalesced chunk and its header, so an append never
 	// regrows a pooled buffer.
 	chunkBufCap = flushThreshold + bypassThreshold + chunkHeaderLen
-	// chunkHeaderLen is the wire framing overhead per chunk.
-	chunkHeaderLen = 4
 )
 
 // bufPool recycles chunkWriters (and, through them, their coalescing
@@ -67,7 +65,8 @@ func (p *bufPool) put(cw *chunkWriter) {
 	p.pool.Put(cw)
 }
 
-// chunkWriter frames a read response: chunks are coalesced into one
+// chunkWriter frames a response body — a read, a predicate read, a
+// cache replay or the storage-plane walk: chunks are coalesced into one
 // pooled buffer and flushed adaptively (immediately for the first chunk,
 // then on flushThreshold bytes or flushInterval elapsed), while payloads
 // of bypassThreshold bytes or more are written straight from the caller's
@@ -78,7 +77,8 @@ type chunkWriter struct {
 	flusher http.Flusher
 	buf     []byte
 
-	committed bool // has any byte reached w?
+	committed bool  // has any byte reached w?
+	werr      error // the failed write that ended the response, if any
 	lastFlush time.Time
 	onFirst   func() // fires when the first byte is committed (TTFB)
 
@@ -119,32 +119,42 @@ func (cw *chunkWriter) observeFlush(t0 time.Time) {
 	cw.tr.Observe(obs.StageFlush, d)
 }
 
-// appendHeader appends one chunk's length framing to the buffer.
-func (cw *chunkWriter) appendHeader(n int) {
-	var hdr [chunkHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(n))
-	cw.buf = append(cw.buf, hdr[:]...)
+// write sends p to the connection, counting its bytes. The first call
+// commits the response (TTFB); a failed write means the client is gone
+// and is remembered in werr.
+func (cw *chunkWriter) write(p []byte) error {
+	n, err := cw.w.Write(p)
+	cw.bytesOut += int64(n)
+	cw.noteCommit()
+	if err != nil {
+		cw.werr = err
+	}
+	return err
 }
 
 // flush writes the buffered bytes and pushes them past the HTTP layer.
 func (cw *chunkWriter) flush() error {
 	t0 := time.Now()
 	if len(cw.buf) > 0 {
-		n, err := cw.w.Write(cw.buf)
-		cw.bytesOut += int64(n)
+		err := cw.write(cw.buf)
 		cw.buf = cw.buf[:0]
-		cw.noteCommit()
 		if err != nil {
 			return err
 		}
 	}
+	cw.flushed(t0)
+	return nil
+}
+
+// flushed pushes written bytes past the HTTP layer and closes one
+// write/flush cycle begun at t0.
+func (cw *chunkWriter) flushed(t0 time.Time) {
 	if cw.flusher != nil {
 		cw.flusher.Flush()
 	}
 	cw.flushes++
 	cw.lastFlush = time.Now()
 	cw.observeFlush(t0)
-	return nil
 }
 
 func (cw *chunkWriter) noteCommit() {
@@ -168,129 +178,70 @@ func (cw *chunkWriter) maybeFlush() error {
 	return nil
 }
 
-// writeGOP frames one encoded GOP.
-func (cw *chunkWriter) writeGOP(gop []byte) error {
-	if len(gop) >= bypassThreshold {
-		return cw.bypass(gop)
+// chunk frames one chunk whose payload is prefix followed by parts. A
+// payload under bypassThreshold bytes is copied into the buffer and
+// coalesces; a larger one goes zero-copy: the pending buffer, the header
+// and the prefix go out in one write, then each part straight from its
+// owner's buffer.
+func (cw *chunkWriter) chunk(prefix []byte, parts ...[]byte) error {
+	n := len(prefix)
+	for _, p := range parts {
+		n += len(p)
 	}
-	cw.appendHeader(len(gop))
-	cw.buf = append(cw.buf, gop...)
-	return cw.maybeFlush()
-}
-
-// bypass writes one chunk zero-copy: the pending buffer plus this chunk's
-// header go out first, then the payload directly from its owner's buffer.
-func (cw *chunkWriter) bypass(payload []byte) error {
+	cw.buf = appendChunkHeader(cw.buf, n)
+	cw.buf = append(cw.buf, prefix...)
+	if n < bypassThreshold {
+		for _, p := range parts {
+			cw.buf = append(cw.buf, p...)
+		}
+		return cw.maybeFlush()
+	}
 	t0 := time.Now()
-	cw.appendHeader(len(payload))
-	n, err := cw.w.Write(cw.buf)
-	cw.bytesOut += int64(n)
+	err := cw.write(cw.buf)
 	cw.buf = cw.buf[:0]
-	cw.noteCommit()
+	for i := 0; err == nil && i < len(parts); i++ {
+		err = cw.write(parts[i])
+	}
 	if err != nil {
 		return err
 	}
-	n, err = cw.w.Write(payload)
-	cw.bytesOut += int64(n)
-	if err != nil {
-		return err
-	}
-	if cw.flusher != nil {
-		cw.flusher.Flush()
-	}
-	cw.flushes++
-	cw.lastFlush = time.Now()
-	cw.observeFlush(t0)
+	cw.flushed(t0)
 	return nil
 }
+
+// writeGOP frames one encoded GOP.
+func (cw *chunkWriter) writeGOP(gop []byte) error { return cw.chunk(nil, gop) }
 
 // writeFrames frames a batch of raw frames, splitting at whole-frame
 // boundaries so no chunk exceeds maxChunkBytes (the caller guarantees a
 // single frame fits). Small batches coalesce like GOPs; typical raw
-// batches are megabytes and take the zero-copy path frame by frame.
+// batches are megabytes and take the zero-copy path.
 func (cw *chunkWriter) writeFrames(frames []*frame.Frame) error {
+	parts := make([][]byte, 0, len(frames))
 	for len(frames) > 0 {
-		var chunkBytes int64
-		n := 0
+		parts = parts[:0]
+		size := 0
 		for _, f := range frames {
-			if n > 0 && chunkBytes+int64(len(f.Data)) > maxChunkBytes {
+			if len(parts) > 0 && size+len(f.Data) > maxChunkBytes {
 				break
 			}
-			chunkBytes += int64(len(f.Data))
-			n++
+			size += len(f.Data)
+			parts = append(parts, f.Data)
 		}
-		if chunkBytes < bypassThreshold {
-			cw.appendHeader(int(chunkBytes))
-			for _, f := range frames[:n] {
-				cw.buf = append(cw.buf, f.Data...)
-			}
-			if err := cw.maybeFlush(); err != nil {
-				return err
-			}
-		} else {
-			t0 := time.Now()
-			cw.appendHeader(int(chunkBytes))
-			wn, err := cw.w.Write(cw.buf)
-			cw.bytesOut += int64(wn)
-			cw.buf = cw.buf[:0]
-			cw.noteCommit()
-			if err != nil {
-				return err
-			}
-			for _, f := range frames[:n] {
-				wn, err = cw.w.Write(f.Data)
-				cw.bytesOut += int64(wn)
-				if err != nil {
-					return err
-				}
-			}
-			if cw.flusher != nil {
-				cw.flusher.Flush()
-			}
-			cw.flushes++
-			cw.lastFlush = time.Now()
-			cw.observeFlush(t0)
+		if err := cw.chunk(nil, parts...); err != nil {
+			return err
 		}
-		frames = frames[n:]
+		frames = frames[len(parts):]
 	}
 	return nil
 }
 
 // writeMatch frames one predicate-read match: the chunk payload is a
 // 4-byte big-endian source frame index followed by the frame's pixels
-// (matchIndexLen extra bytes per chunk vs a plain raw frame). Large
-// frames take the zero-copy path with only the index prefix buffered.
+// (matchIndexLen extra bytes per chunk vs a plain raw frame).
 func (cw *chunkWriter) writeMatch(index uint32, payload []byte) error {
 	var idx [matchIndexLen]byte
-	binary.BigEndian.PutUint32(idx[:], index)
-	if matchIndexLen+len(payload) >= bypassThreshold {
-		t0 := time.Now()
-		cw.appendHeader(matchIndexLen + len(payload))
-		cw.buf = append(cw.buf, idx[:]...)
-		n, err := cw.w.Write(cw.buf)
-		cw.bytesOut += int64(n)
-		cw.buf = cw.buf[:0]
-		cw.noteCommit()
-		if err != nil {
-			return err
-		}
-		n, err = cw.w.Write(payload)
-		cw.bytesOut += int64(n)
-		if err != nil {
-			return err
-		}
-		if cw.flusher != nil {
-			cw.flusher.Flush()
-		}
-		cw.flushes++
-		cw.lastFlush = time.Now()
-		cw.observeFlush(t0)
-		return nil
-	}
-	cw.appendHeader(matchIndexLen + len(payload))
-	cw.buf = append(cw.buf, idx[:]...)
-	cw.buf = append(cw.buf, payload...)
-	return cw.maybeFlush()
+	return cw.chunk(binary.BigEndian.AppendUint32(idx[:0], index), payload)
 }
 
 // matchIndexLen is the per-match frame-index prefix inside a predicate
@@ -299,7 +250,7 @@ const matchIndexLen = 4
 
 // finish appends the clean-EOF terminator and flushes everything left.
 func (cw *chunkWriter) finish() error {
-	cw.appendHeader(0)
+	cw.buf = appendChunkHeader(cw.buf, 0)
 	return cw.flush()
 }
 

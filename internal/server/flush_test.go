@@ -184,9 +184,28 @@ func BenchmarkStreamingReadHot(b *testing.B) {
 	}
 }
 
+// writeChunk is the reference encoder of one framed chunk, written
+// straight from docs/WIRE.md: 4-byte big-endian length + payload. A nil
+// payload writes the zero-length clean-EOF terminator.
+func writeChunk(w io.Writer, payload []byte) error {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// testMatch is one predicate-read match for the wire-equivalence test.
+type testMatch struct {
+	index uint32
+	data  []byte
+}
+
 // naiveFraming is the reference wire encoding: every chunk written and
 // flushed individually, the pre-coalescing behavior.
-func naiveFraming(gops [][]byte, frameBatches [][]*frame.Frame) []byte {
+func naiveFraming(gops [][]byte, frameBatches [][]*frame.Frame, matches []testMatch) []byte {
 	var buf bytes.Buffer
 	for _, g := range gops {
 		writeChunk(&buf, g)
@@ -203,12 +222,15 @@ func naiveFraming(gops [][]byte, frameBatches [][]*frame.Frame) []byte {
 			buf.Write(f.Data)
 		}
 	}
+	for _, m := range matches {
+		writeChunk(&buf, append(binary.BigEndian.AppendUint32(nil, m.index), m.data...))
+	}
 	writeChunk(&buf, nil)
 	return buf.Bytes()
 }
 
-// TestChunkWriterWireEquivalence drives randomized chunk sequences across
-// the coalesce/bypass boundary and asserts the wire bytes are identical
+// TestChunkWriterWireEquivalence drives randomized GOP, frame-batch and
+// match sequences across the coalesce/bypass boundary and asserts the wire bytes are identical
 // to per-chunk framing — flush windows move write boundaries, never
 // payload bytes.
 func TestChunkWriterWireEquivalence(t *testing.T) {
@@ -226,11 +248,18 @@ func TestChunkWriterWireEquivalence(t *testing.T) {
 		for i := 0; i < rng.Intn(3); i++ {
 			var batch []*frame.Frame
 			for k := 0; k < 1+rng.Intn(4); k++ {
-				f := frame.New(32+rng.Intn(64), 16+rng.Intn(32), frame.Gray)
+				// Up to ~41KB a frame, so batches straddle bypassThreshold too.
+				f := frame.New(32+rng.Intn(256), 16+rng.Intn(128), frame.Gray)
 				rng.Read(f.Data)
 				batch = append(batch, f)
 			}
 			fb = append(fb, batch)
+		}
+		var matches []testMatch
+		for i := 0; i < rng.Intn(8); i++ {
+			m := testMatch{index: rng.Uint32(), data: make([]byte, 1+rng.Intn(2*bypassThreshold))}
+			rng.Read(m.data)
+			matches = append(matches, m)
 		}
 
 		var pool bufPool
@@ -247,10 +276,15 @@ func TestChunkWriterWireEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		for _, m := range matches {
+			if err := cw.writeMatch(m.index, m.data); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := cw.finish(); err != nil {
 			t.Fatal(err)
 		}
-		if want := naiveFraming(gops, fb); !bytes.Equal(got.Bytes(), want) {
+		if want := naiveFraming(gops, fb, matches); !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("trial %d: coalesced wire bytes differ from per-chunk framing (%d vs %d bytes)",
 				trial, got.Len(), len(want))
 		}

@@ -29,15 +29,16 @@
 //
 // Binary bodies — the write request body and the read response body — are
 // sequences of framed chunks: a 4-byte big-endian payload length followed
-// by the payload. A read stream is terminated by a zero-length chunk; if
-// the connection closes without one, the client knows the stream was
-// truncated (server-side error or cancellation). For compressed reads
-// each chunk is one encoded GOP; for raw reads each chunk is a batch of
-// frames, concatenated in the pixel layout the response headers describe.
+// by the payload, ended by a zero-length chunk. A body that ends without
+// one was truncated (a server-side error or cancellation mid-read, a
+// cut-off upload) and is refused; framing.go holds the one reader and
+// flush.go the one writer. For compressed reads each chunk is one encoded
+// GOP; for raw reads each chunk is a batch of frames, concatenated in the
+// pixel layout the response headers describe.
 package server
 
 import (
-	"encoding/binary"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -294,7 +295,8 @@ func (s *Server) handleWriteGOPs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fps query parameter required (positive integer)", http.StatusBadRequest)
 		return
 	}
-	gops, err := readChunks(http.MaxBytesReader(w, r.Body, maxWriteBody))
+	body := &chunkReader{body: http.MaxBytesReader(w, r.Body, maxWriteBody)}
+	gops, err := body.all()
 	if err != nil {
 		http.Error(w, "bad GOP framing: "+err.Error(), http.StatusBadRequest)
 		return
@@ -432,30 +434,23 @@ func (ro *readObs) finish() {
 	}
 }
 
-func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	arrived := time.Now() // TTFB clock starts before admission queueing
-	if where := r.URL.Query().Get("where"); where != "" {
-		s.handleQuery(w, r, arrived, where)
-		return
-	}
-	name := r.PathValue("name")
-	spec, key, err := parseReadSpec(r.URL.Query(), s.cfg.DefaultCodec)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	// Trace the request: resume an upstream-minted ID from the wire
-	// header or mint a fresh one, echo it back, and ride the context so
-	// every pipeline stage below (and every remote hop the storage layer
-	// makes) folds into the same trace.
-	tr := obs.StartTrace(r.Header.Get(obs.TraceHeader), "read")
+// trace starts a request's trace: it resumes an upstream-minted ID from
+// the wire header or mints a fresh one, echoes it back, and rides the
+// returned context, so every pipeline stage (and every remote hop the
+// storage layer makes) folds into the same trace. ro.finish records it.
+func (s *Server) trace(w http.ResponseWriter, r *http.Request, op, video, detail string) (context.Context, *readObs) {
+	tr := obs.StartTrace(r.Header.Get(obs.TraceHeader), op)
 	w.Header().Set(obs.TraceHeader, tr.ID())
-	ctx := obs.WithTrace(r.Context(), tr)
-	ro := &readObs{s: s, tr: tr, video: name, detail: key}
-	defer ro.finish()
+	return obs.WithTrace(r.Context(), tr), &readObs{s: s, tr: tr, video: video, detail: detail}
+}
 
-	// Admission: bound the reads in flight before touching the store.
+// begin starts a streaming request's trace and takes its admission slot:
+// reads and predicate reads decode GOPs on the shared worker pool, so both
+// count against the in-flight bound. A nil release means the request was
+// refused (429) or its client left while queued; the caller still defers
+// ro.finish, then returns.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, op, video, detail string) (ctx context.Context, ro *readObs, release func()) {
+	ctx, ro = s.trace(w, r, op, video, detail)
 	admStart := time.Now()
 	release, err := s.adm.acquire(ctx, clientKey(r))
 	obs.Observe(ctx, s.pipe, obs.StageAdmission, time.Since(admStart))
@@ -469,6 +464,89 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 			s.m.admissionAborted.Add(1)
 			ro.status = statusClientGone
 		}
+		return ctx, ro, nil
+	}
+	return ctx, ro, release
+}
+
+// openFailed answers a read whose stream could not be opened.
+func (s *Server) openFailed(w http.ResponseWriter, ro *readObs, err error) {
+	if !clientFault(err) {
+		s.m.readErrors.Add(1)
+	}
+	ro.status = statusFor(err)
+	httpError(w, err)
+}
+
+// setStreamHeaders sets the response headers every streaming read shares.
+func setStreamHeaders(h http.Header, width, height, fps int, codec string) {
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("X-VSS-Width", strconv.Itoa(width))
+	h.Set("X-VSS-Height", strconv.Itoa(height))
+	h.Set("X-VSS-FPS", strconv.Itoa(fps))
+	h.Set("X-VSS-Codec", codec)
+}
+
+// send streams one response body through a pooled chunkWriter: body
+// writes the chunks, then the terminator goes out. An error body returns
+// is the store's unless a write failed or the client left, and follows
+// the one mid-stream rule: before the first committed byte it becomes an
+// HTTP error response; after it the body ends without a terminator, so
+// the client sees truncation, never silent partial data. send folds the
+// writer's counters into the metrics and reports whether the terminator
+// went out.
+func (s *Server) send(w http.ResponseWriter, r *http.Request, ro *readObs, arrived time.Time, body func(cw *chunkWriter) error) bool {
+	flusher, _ := w.(http.Flusher)
+	cw := s.bufs.get()
+	cw.reset(w, flusher, func() {
+		ro.ttfb = time.Since(arrived)
+		s.m.ttfb.Observe(ro.ttfb)
+	})
+	cw.instrument(s.pipe, ro.tr)
+	defer func() {
+		ro.bytes = cw.bytesOut
+		s.m.bytesSent.Add(cw.bytesOut)
+		s.m.flushes.Add(cw.flushes)
+		s.m.flushCoalesced.Add(cw.coalesced)
+		s.bufs.put(cw)
+	}()
+	err := body(cw)
+	if err == nil {
+		err = cw.finish() // clean-EOF terminator
+	}
+	switch {
+	case err == nil:
+		return true
+	case cw.werr != nil || r.Context().Err() != nil:
+		s.m.readsCancelled.Add(1)
+		ro.status = statusClientGone
+	case !cw.committed:
+		cw.abort()
+		s.m.readErrors.Add(1)
+		ro.status = statusFor(err)
+		httpError(w, err)
+	default:
+		s.m.readErrors.Add(1)
+		ro.status = statusFor(err)
+	}
+	return false
+}
+
+func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
+	arrived := time.Now() // TTFB clock starts before admission queueing
+	if where := r.URL.Query().Get("where"); where != "" {
+		s.handleQuery(w, r, arrived, where)
+		return
+	}
+	name := r.PathValue("name")
+	spec, key, err := parseReadSpec(r.URL.Query(), s.cfg.DefaultCodec)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	ctx, ro, release := s.begin(w, r, "read", name, key)
+	defer ro.finish()
+	if release == nil {
 		return
 	}
 	defer release()
@@ -484,7 +562,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	if cacheable {
 		if e, ok := s.cache.get(cacheKey); ok {
 			s.m.cacheHits.Add(1)
-			s.replayCached(w, e, arrived, tr, ro)
+			s.replayCached(w, r, e, arrived, ro)
 			return
 		}
 		s.m.cacheMisses.Add(1)
@@ -498,11 +576,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	// work at the next GOP boundary.
 	st, err := s.sys.ReadStream(ctx, name, spec)
 	if err != nil {
-		if !clientFault(err) {
-			s.m.readErrors.Add(1)
-		}
-		ro.status = statusFor(err)
-		httpError(w, err)
+		s.openFailed(w, ro, err)
 		return
 	}
 	defer st.Close()
@@ -517,31 +591,13 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-VSS-Width", strconv.Itoa(st.Width))
-	h.Set("X-VSS-Height", strconv.Itoa(st.Height))
-	h.Set("X-VSS-FPS", strconv.Itoa(st.FPS))
 	if compressed {
-		h.Set("X-VSS-Codec", string(spec.P.Codec))
+		setStreamHeaders(h, st.Width, st.Height, st.FPS, string(spec.P.Codec))
 	} else {
-		h.Set("X-VSS-Codec", "raw")
+		setStreamHeaders(h, st.Width, st.Height, st.FPS, "raw")
 		h.Set("X-VSS-Format", spec.P.Format.String())
 		h.Set("X-VSS-Frame-Bytes", strconv.Itoa(spec.P.Format.Size(st.Width, st.Height)))
 	}
-	flusher, _ := w.(http.Flusher)
-	cw := s.bufs.get()
-	cw.reset(w, flusher, func() {
-		ro.ttfb = time.Since(arrived)
-		s.m.ttfb.Observe(ro.ttfb)
-	})
-	cw.instrument(s.pipe, tr)
-	defer func() {
-		ro.bytes = cw.bytesOut
-		s.m.bytesSent.Add(cw.bytesOut)
-		s.m.flushes.Add(cw.flushes)
-		s.m.flushCoalesced.Add(cw.coalesced)
-		s.bufs.put(cw)
-	}()
 
 	// Accumulate compressed GOPs for a cache insert only while they could
 	// possibly fit: with the cache disabled (or a response outgrowing it)
@@ -551,72 +607,48 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	// large ones written through), so the cache can safely keep it.
 	var cached [][]byte
 	var cachedBytes int64
-	for {
-		batch, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Distinguish "client went away" from a real read failure.
-			// Before the first committed body byte an error response is
-			// still possible; after it, the stream just ends without a
-			// terminator chunk, so the client sees truncation, never
-			// silent partial data.
+	done := s.send(w, r, ro, arrived, func(cw *chunkWriter) error {
+		for {
+			batch, err := st.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
 			switch {
-			case r.Context().Err() != nil:
-				s.m.readsCancelled.Add(1)
-				ro.status = statusClientGone
-			case !cw.committed:
-				cw.abort()
-				s.m.readErrors.Add(1)
-				ro.status = statusFor(err)
-				httpError(w, err)
-			default:
-				s.m.readErrors.Add(1)
-				ro.status = statusFor(err)
-			}
-			s.noteReadStats(st)
-			return
-		}
-		var werr error
-		if batch.GOP != nil {
-			werr = cw.writeGOP(batch.GOP)
-		} else {
-			if len(batch.Frames) == 0 {
+			case batch.GOP != nil:
+				err = cw.writeGOP(batch.GOP)
+			case len(batch.Frames) == 0:
 				continue // nothing to frame; zero-length chunks mean EOF
+			default:
+				err = cw.writeFrames(batch.Frames)
 			}
-			werr = cw.writeFrames(batch.Frames)
+			if err != nil {
+				return err
+			}
+			if cacheable {
+				cached = append(cached, batch.GOP)
+				if cachedBytes += int64(len(batch.GOP)); cachedBytes > s.cache.maxBytes() {
+					cacheable, cached = false, nil
+				}
+			}
 		}
-		if werr != nil {
-			s.m.readsCancelled.Add(1)
-			ro.status = statusClientGone
-			s.noteReadStats(st)
-			return
-		}
+		// The response is complete: cache it before the terminator goes
+		// out, so a client that repeats the request as soon as it sees the
+		// end of this one is served from the cache.
 		if cacheable {
-			cached = append(cached, batch.GOP)
-			if cachedBytes += int64(len(batch.GOP)); cachedBytes > s.cache.maxBytes() {
-				cacheable, cached = false, nil
-			}
+			s.cache.put(&cacheEntry{
+				key: cacheKey, video: name, gops: cached,
+				width: st.Width, height: st.Height, fps: st.FPS,
+				codec: string(spec.P.Codec),
+			}, cacheGen)
 		}
+		return nil
+	})
+	if done {
+		s.m.readsCompleted.Add(1)
 	}
-	// The response is complete: cache it before the terminator goes out,
-	// so a client that repeats the request as soon as it sees the end
-	// of this one is served from the cache.
-	if cacheable {
-		s.cache.put(&cacheEntry{
-			key: cacheKey, video: name, gops: cached,
-			width: st.Width, height: st.Height, fps: st.FPS,
-			codec: string(spec.P.Codec),
-		}, cacheGen)
-	}
-	if err := cw.finish(); err != nil { // clean-EOF terminator
-		s.m.readsCancelled.Add(1)
-		ro.status = statusClientGone
-		s.noteReadStats(st)
-		return
-	}
-	s.m.readsCompleted.Add(1)
 	s.noteReadStats(st)
 }
 
@@ -660,29 +692,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, arrived tim
 		}
 	}
 	key := fmt.Sprintf("where=%s,s=%g,e=%g", pred, t0, t1)
-
-	tr := obs.StartTrace(r.Header.Get(obs.TraceHeader), "query")
-	w.Header().Set(obs.TraceHeader, tr.ID())
-	ctx := obs.WithTrace(r.Context(), tr)
-	ro := &readObs{s: s, tr: tr, video: name, detail: key}
+	ctx, ro, release := s.begin(w, r, "query", name, key)
 	defer ro.finish()
-
-	// Predicate reads ride the same admission controller as plain reads:
-	// both decode GOPs on the shared worker pool, so both count against
-	// the in-flight bound.
-	admStart := time.Now()
-	release, err := s.adm.acquire(ctx, clientKey(r))
-	obs.Observe(ctx, s.pipe, obs.StageAdmission, time.Since(admStart))
-	if err != nil {
-		switch {
-		case errors.Is(err, errQueueFull), errors.Is(err, errPerClientLimit):
-			s.m.admissionRejected.Add(1)
-			ro.status = http.StatusTooManyRequests
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-		default: // client disconnected while queued
-			s.m.admissionAborted.Add(1)
-			ro.status = statusClientGone
-		}
+	if release == nil {
 		return
 	}
 	defer release()
@@ -690,11 +702,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, arrived tim
 
 	st, err := s.sys.ReadStreamWhere(ctx, name, pred, t0, t1)
 	if err != nil {
-		if !clientFault(err) {
-			s.m.readErrors.Add(1)
-		}
-		ro.status = statusFor(err)
-		httpError(w, err)
+		s.openFailed(w, ro, err)
 		return
 	}
 	defer st.Close()
@@ -706,70 +714,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, arrived tim
 		return
 	}
 	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-VSS-Width", strconv.Itoa(st.Width))
-	h.Set("X-VSS-Height", strconv.Itoa(st.Height))
-	h.Set("X-VSS-FPS", strconv.Itoa(st.FPS))
-	h.Set("X-VSS-Codec", "raw")
+	setStreamHeaders(h, st.Width, st.Height, st.FPS, "raw")
 	h.Set("X-VSS-Format", vss.RGB.String())
 	h.Set("X-VSS-Frame-Bytes", strconv.Itoa(frameBytes))
 	// Echo the canonical predicate so clients see exactly what was
 	// evaluated (ParsePredicate(canonical) reproduces it).
 	h.Set("X-VSS-Predicate", pred.String())
 
-	flusher, _ := w.(http.Flusher)
-	cw := s.bufs.get()
-	cw.reset(w, flusher, func() {
-		ro.ttfb = time.Since(arrived)
-		s.m.ttfb.Observe(ro.ttfb)
+	done := s.send(w, r, ro, arrived, func(cw *chunkWriter) error {
+		for {
+			batch, err := st.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			for _, m := range batch.Matches {
+				if err := cw.writeMatch(uint32(m.Index), m.Frame.Data); err != nil {
+					return err
+				}
+			}
+		}
 	})
-	cw.instrument(s.pipe, tr)
-	defer func() {
-		ro.bytes = cw.bytesOut
-		s.m.bytesSent.Add(cw.bytesOut)
-		s.m.flushes.Add(cw.flushes)
-		s.m.flushCoalesced.Add(cw.coalesced)
-		s.bufs.put(cw)
-	}()
-
-	for {
-		batch, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			switch {
-			case r.Context().Err() != nil:
-				s.m.readsCancelled.Add(1)
-				ro.status = statusClientGone
-			case !cw.committed:
-				cw.abort()
-				s.m.readErrors.Add(1)
-				ro.status = statusFor(err)
-				httpError(w, err)
-			default:
-				s.m.readErrors.Add(1)
-				ro.status = statusFor(err)
-			}
-			s.noteQueryStats(st)
-			return
-		}
-		for _, m := range batch.Matches {
-			if err := cw.writeMatch(uint32(m.Index), m.Frame.Data); err != nil {
-				s.m.readsCancelled.Add(1)
-				ro.status = statusClientGone
-				s.noteQueryStats(st)
-				return
-			}
-		}
+	if done {
+		s.m.queriesCompleted.Add(1)
 	}
-	if err := cw.finish(); err != nil { // clean-EOF terminator
-		s.m.readsCancelled.Add(1)
-		ro.status = statusClientGone
-		s.noteQueryStats(st)
-		return
-	}
-	s.m.queriesCompleted.Add(1)
 	s.noteQueryStats(st)
 }
 
@@ -792,41 +762,20 @@ func (s *Server) noteQueryStats(st *vss.QueryStream) {
 // hot path benefits most, since nothing throttles it but the wire — and
 // the same trace, so cache hits show up in /debug/traces as
 // flush-dominated requests with no plan/fetch/decode stages.
-func (s *Server) replayCached(w http.ResponseWriter, e *cacheEntry, arrived time.Time, tr *obs.Trace, ro *readObs) {
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-VSS-Width", strconv.Itoa(e.width))
-	h.Set("X-VSS-Height", strconv.Itoa(e.height))
-	h.Set("X-VSS-FPS", strconv.Itoa(e.fps))
-	h.Set("X-VSS-Codec", e.codec)
-	h.Set("X-VSS-Cache", "hit")
-	flusher, _ := w.(http.Flusher)
-	cw := s.bufs.get()
-	cw.reset(w, flusher, func() {
-		ro.ttfb = time.Since(arrived)
-		s.m.ttfb.Observe(ro.ttfb)
-	})
-	cw.instrument(s.pipe, tr)
-	defer func() {
-		ro.bytes = cw.bytesOut
-		s.m.bytesSent.Add(cw.bytesOut)
-		s.m.flushes.Add(cw.flushes)
-		s.m.flushCoalesced.Add(cw.coalesced)
-		s.bufs.put(cw)
-	}()
-	for _, g := range e.gops {
-		if err := cw.writeGOP(g); err != nil {
-			s.m.readsCancelled.Add(1)
-			ro.status = statusClientGone
-			return
+func (s *Server) replayCached(w http.ResponseWriter, r *http.Request, e *cacheEntry, arrived time.Time, ro *readObs) {
+	setStreamHeaders(w.Header(), e.width, e.height, e.fps, e.codec)
+	w.Header().Set("X-VSS-Cache", "hit")
+	done := s.send(w, r, ro, arrived, func(cw *chunkWriter) error {
+		for _, g := range e.gops {
+			if err := cw.writeGOP(g); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if done {
+		s.m.readsCompleted.Add(1)
 	}
-	if err := cw.finish(); err != nil {
-		s.m.readsCancelled.Add(1)
-		ro.status = statusClientGone
-		return
-	}
-	s.m.readsCompleted.Add(1)
 }
 
 // noteReadStats folds a finished (or abandoned) stream's ReadStats into
@@ -974,51 +923,4 @@ func (s *Server) handleMaintain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]bool{"ok": true})
-}
-
-// writeChunk writes one framed chunk: 4-byte big-endian length + payload.
-// A nil payload writes the zero-length clean-EOF terminator.
-func writeChunk(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// maxChunkBytes bounds a single framed chunk. Chunk lengths come off the
-// wire, so they must be validated BEFORE allocation — a 4-byte request
-// claiming a 4GiB chunk must cost nothing, not an OOM.
-const maxChunkBytes = 1 << 28 // 256MiB; far beyond any real GOP or batch
-
-// readChunks reads framed chunks until EOF or a zero-length terminator.
-func readChunks(r io.Reader) ([][]byte, error) {
-	var out [][]byte
-	var hdr [4]byte
-	for {
-		_, err := io.ReadFull(r, hdr[:])
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 {
-			return out, nil
-		}
-		if n > maxChunkBytes {
-			return nil, fmt.Errorf("chunk length %d exceeds limit %d", n, maxChunkBytes)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("truncated chunk: %w", err)
-		}
-		out = append(out, buf)
-	}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,13 +33,14 @@ import (
 
 // storageError maps backend errors onto status codes: a missing GOP is
 // 404 (the remote backend turns it back into fs.ErrNotExist), anything
-// else is the node's fault.
-func storageError(w http.ResponseWriter, err error) {
+// else is the node's fault. It returns the status it sent.
+func storageError(w http.ResponseWriter, err error) int {
+	status := http.StatusInternalServerError
 	if errors.Is(err, fs.ErrNotExist) {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
+		status = http.StatusNotFound
 	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
+	http.Error(w, err.Error(), status)
+	return status
 }
 
 // gopSeq parses the {seq} path value.
@@ -58,11 +57,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// putPrealloc bounds what a GOP PUT's declared length reserves before
-// its body arrives: a typical encoded GOP fits in one allocation, and a
-// header alone cannot pin much memory.
-const putPrealloc = 1 << 20
-
 func (s *Server) handleGOPWrite(w http.ResponseWriter, r *http.Request) {
 	seq, ok := gopSeq(r)
 	if !ok {
@@ -72,10 +66,8 @@ func (s *Server) handleGOPWrite(w http.ResponseWriter, r *http.Request) {
 	// One GOP per request, raw body: Content-Length plus TCP framing is
 	// all the integrity the single-object plane needs (the batch ingest
 	// endpoint is the one that frames chunks), so a PUT must declare its
-	// length. The declared length sizes the buffer, but a header alone
-	// reserves at most putPrealloc; a longer body grows the buffer as its
-	// bytes arrive, up to the MaxBytesReader bound. The bytes.MinRead of
-	// slack lets ReadFrom see EOF without growing a full buffer.
+	// length. The declared length came off the wire like a chunk header
+	// and is read under the same allocation bound (chunkArena.read).
 	n := r.ContentLength
 	if n < 0 {
 		http.Error(w, "GOP PUT needs a Content-Length", http.StatusLengthRequired)
@@ -85,12 +77,12 @@ func (s *Server) handleGOPWrite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("GOP of %d bytes exceeds limit %d", n, maxChunkBytes), http.StatusBadRequest)
 		return
 	}
-	body := bytes.NewBuffer(make([]byte, 0, min(n, putPrealloc)+bytes.MinRead))
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxChunkBytes)); err != nil || int64(body.Len()) != n {
-		http.Error(w, fmt.Sprintf("bad body: %d of %d declared bytes: %v", body.Len(), n, err), http.StatusBadRequest)
+	var a chunkArena
+	data, err := a.read(r.Body, int(n))
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad body: %d declared bytes: %v", n, err), http.StatusBadRequest)
 		return
 	}
-	data := body.Bytes()
 	if err := s.sys.Backend().WriteGOP(r.PathValue("video"), r.PathValue("phys"), seq, data); err != nil {
 		storageError(w, err)
 		return
@@ -118,40 +110,16 @@ func (s *Server) handleGOPRead(w http.ResponseWriter, r *http.Request) {
 	// Join the propagated trace (the router forwards its ID in the wire
 	// header), so the node-local fetch shows up under the same trace ID
 	// the client and router saw — and in this node's own slow ring.
-	tr := obs.StartTrace(r.Header.Get(obs.TraceHeader), "gop_read")
-	w.Header().Set(obs.TraceHeader, tr.ID())
-	ctx := obs.WithTrace(r.Context(), tr)
+	ctx, ro := s.trace(w, r, "gop_read", video, phys+"/"+strconv.Itoa(seq))
+	defer ro.finish()
 	start := time.Now()
 	data, err := storage.ReadGOPCtx(ctx, s.sys.Backend(), video, phys, seq)
 	obs.Observe(ctx, s.pipe, obs.StageFetch, time.Since(start))
-	status := http.StatusOK
 	if err != nil {
-		status = http.StatusInternalServerError
-		if errors.Is(err, fs.ErrNotExist) {
-			status = http.StatusNotFound
-		}
-	}
-	defer func() {
-		req := obs.Request{
-			Video:  video,
-			Detail: phys + "/" + strconv.Itoa(seq),
-			Status: status,
-			Bytes:  int64(len(data)),
-		}
-		snap := tr.Snapshot(req, time.Now())
-		s.traces.Add(snap)
-		if s.log != nil {
-			s.log.Info(snap.Name,
-				"trace", snap.ID, "video", snap.Video, "detail", snap.Detail,
-				"status", snap.Status, "bytes", snap.Bytes,
-				"total_ms", snap.DurationMillis, "stages", snap.StageSummary(),
-			)
-		}
-	}()
-	if err != nil {
-		storageError(w, err)
+		ro.status = storageError(w, err)
 		return
 	}
+	ro.bytes = int64(len(data))
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("X-VSS-GOP-Size", strconv.FormatInt(int64(len(data)), 10))
@@ -220,26 +188,24 @@ type gopEntry struct {
 
 func (s *Server) handleGOPWalk(w http.ResponseWriter, r *http.Request) {
 	// The walk streams one framed JSON chunk per GOP and ends with the
-	// zero-length terminator — the read path's framing, reused so a
-	// truncated enumeration (walk error mid-stream, dead node) can never
-	// be mistaken for a complete one. Entries are buffered: a full tree
-	// walk is thousands of tiny writes.
+	// zero-length terminator — the read path's framing and writer, reused
+	// so a truncated enumeration (walk error mid-stream, dead node) can
+	// never be mistaken for a complete one. The writer coalesces entries:
+	// a full tree walk is thousands of tiny chunks.
 	w.Header().Set("Content-Type", "application/octet-stream")
-	bw := bufio.NewWriterSize(w, 32<<10)
+	flusher, _ := w.(http.Flusher)
+	cw := &chunkWriter{w: w, flusher: flusher}
 	err := s.sys.Backend().Walk(func(video, physDir string, seq int, size int64) error {
 		payload, err := json.Marshal(gopEntry{Video: video, Phys: physDir, Seq: seq, Size: size})
 		if err != nil {
 			return err
 		}
-		return writeChunk(bw, payload)
+		return cw.chunk(nil, payload)
 	})
-	if err != nil {
-		// Body bytes may be committed; ending without a terminator is the
-		// error signal.
-		return
+	if err == nil {
+		// A failed walk ends without a terminator: that is its error
+		// signal. A failed finish means the client left; no one is left
+		// to tell.
+		_ = cw.finish()
 	}
-	if err := writeChunk(bw, nil); err != nil {
-		return
-	}
-	bw.Flush()
 }
