@@ -230,9 +230,9 @@ func naiveFraming(gops [][]byte, frameBatches [][]*frame.Frame, matches []testMa
 }
 
 // TestChunkWriterWireEquivalence drives randomized GOP, frame-batch and
-// match sequences across the coalesce/bypass boundary and asserts the wire bytes are identical
-// to per-chunk framing — flush windows move write boundaries, never
-// payload bytes.
+// match sequences across the coalesce/bypass boundary and asserts the
+// wire bytes are identical to per-chunk framing — flush windows move
+// write boundaries, never payload bytes.
 func TestChunkWriterWireEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 20; trial++ {

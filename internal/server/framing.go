@@ -63,31 +63,31 @@ func (a *chunkArena) alloc(n int) []byte {
 
 // read reads exactly n payload bytes whose count came off the wire. A
 // payload of up to putPrealloc bytes is carved from the arena (a zero
-// arena's first carve is one allocation of exactly n); a longer one
-// starts at putPrealloc and grows only as its bytes arrive, doubling
-// what has been received until the final buffer of exactly n. A length
-// claim the peer does not back with bytes so reserves at most
-// putPrealloc.
+// arena's first carve is one allocation of exactly n). A longer one is
+// received in putPrealloc blocks, each allocated only once the one
+// before it is full, and joined into one buffer of exactly n when the
+// last byte is in: a length claim never reserves more than putPrealloc
+// beyond the bytes that back it, and the payload is copied once.
 func (a *chunkArena) read(r io.Reader, n int) ([]byte, error) {
 	if n <= putPrealloc {
 		buf := a.alloc(n)
 		_, err := io.ReadFull(r, buf)
 		return buf, err
 	}
-	buf := make([]byte, putPrealloc)
-	got := 0
-	for {
-		m, err := io.ReadFull(r, buf[got:])
-		if got += m; err != nil {
+	var blocks [][]byte
+	for got := 0; got < n; {
+		b := make([]byte, min(n-got, putPrealloc))
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		if got == n {
-			return buf, nil
-		}
-		grown := make([]byte, min(n, 2*got))
-		copy(grown, buf)
-		buf = grown
+		blocks = append(blocks, b)
+		got += len(b)
 	}
+	buf := make([]byte, 0, n)
+	for _, b := range blocks {
+		buf = append(buf, b...)
+	}
+	return buf, nil
 }
 
 // chunkReader reads one framed chunk stream. Every payload it returns is

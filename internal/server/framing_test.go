@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -80,6 +81,30 @@ func TestBatchWriteFraming(t *testing.T) {
 		if n := stored(); n != tc.gops {
 			t.Errorf("%s: %d GOPs stored, want %d", tc.name, n, tc.gops)
 		}
+	}
+}
+
+// TestChunkArenaReadLarge covers payloads above putPrealloc: one
+// arrives byte-identical, and a claim the peer backs with only part of
+// its bytes reserves at most putPrealloc beyond them.
+func TestChunkArenaReadLarge(t *testing.T) {
+	payload := make([]byte, 5*putPrealloc/2+3)
+	rand.New(rand.NewSource(1)).Read(payload)
+	var a chunkArena
+	got, err := a.read(bytes.NewReader(payload), len(payload))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read %d of %d bytes, err %v", len(got), len(payload), err)
+	}
+	sent := payload[:3*putPrealloc/2]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = a.read(bytes.NewReader(sent), 64*putPrealloc)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a short body read without error")
+	}
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(sent)+putPrealloc+64<<10); grew > limit {
+		t.Errorf("a claim backed by %d bytes allocated %d, want at most %d", len(sent), grew, limit)
 	}
 }
 
